@@ -4,7 +4,7 @@ Commands own the Ray session (guarded init per driver contract);
 the library itself never calls ray.init.
 
     python -m deltaray replay  --event-log D --lake D [--partitions N]
-                               [--chunk-events N] [--unordered] [--shuffle M]
+                               [--chunk-events N] [--unordered]
     python -m deltaray assess  --event-log D [--table T]
     python -m deltaray lineage --lake D [--table T]
     python -m deltaray gen     --out D --docs N --events N [--seed N] [--fast]
@@ -57,7 +57,7 @@ def cmd_replay(a) -> int:
     _init_ray()
     cfg = ReplayConfig(
         event_log=a.event_log, lake=a.lake, num_partitions=a.partitions,
-        chunk_max_events=a.chunk_events, shuffle=a.shuffle,
+        chunk_max_events=a.chunk_events,
         ordering="UN_ORDERED" if a.unordered else "ORDERED",
         generation=a.generation, pipeline_chunks=a.pipeline_chunks,
         vacuum=not (a.keep_history or a.expire_keep),
@@ -345,7 +345,6 @@ def main(argv=None) -> int:
     r.add_argument("--lake", required=True)
     r.add_argument("--partitions", type=int, default=32)
     r.add_argument("--chunk-events", type=int, default=2_000_000)
-    r.add_argument("--shuffle", choices=["tasks", "sort"], default="tasks")
     r.add_argument("--pipeline-chunks", type=int, default=2,
                    help="DML chunks in flight (1 = serial barrier loop)")
     r.add_argument("--unordered", action="store_true")

@@ -44,7 +44,7 @@ class TableConfig:
 class RetryConfig:
     """RetryConfig.java:25-40 analog (bounded retry of the apply stage)."""
 
-    max_duration_seconds: int = 0  # 0 = unlimited
+    max_duration_seconds: int = 0  # 0 = no retry
     delay_seconds: float = 0.1
 
 
@@ -68,8 +68,6 @@ class ReplayConfig:
     retry: RetryConfig = field(default_factory=RetryConfig)
 
     # --- physical knobs (Ray side) ---
-    shuffle: str = "tasks"         # "tasks" (split/merge task exchange) or
-                                   # "sort" (Dataset groupby sort shuffle)
     num_partitions: int = 32       # hash partitions per table (hash(doc_id) % P)
     chunk_max_events: int = 2_000_000  # replay chunk size (resume granularity)
     # every Nth commit per partition rewrites the full state (base);
@@ -84,20 +82,19 @@ class ReplayConfig:
     # pays one file open per commit EVER MADE; with it, reads cost
     # O(manifests + recent loose) opens at any history length.
     manifest_every: int = 64
-    batch_size: int = 16384        # map_batches batch size for transforms
     # cap on object-ref args per merge/combine task in the exchange: when
     # a chunk plans more map units than this, splits combine in a tree of
     # concat tasks (O(log) levels) instead of one M-arg merge — task-spec
     # size stays bounded at cluster scale (M ~ 4x cluster CPUs per chunk)
     merge_fanin: int = 256
-    # chunk-pipelining depth for the task exchange: with W > 1, up to W
+    # chunk-pipelining depth of the exchange: with W > 1, up to W
     # consecutive DML chunks are in flight at once — shard s of chunk
     # N+1 chains on shard s of chunk N (a Ray object dependency), so a
     # straggler partition delays only ITSELF, not a global chunk
     # barrier, and chunk N+1's read/transform/split overlaps chunk N's
     # merges.  Per-partition apply order (required by compaction) is
     # preserved by the chain; DDL chunks drain the window (barrier).
-    # 1 = the serial loop; "sort" shuffle mode is always serial.
+    # 1 = each chunk drains before the next is submitted.
     pipeline_chunks: int = 2
     # keep compacting BASE commits clustered on these column(s): every
     # full-state rewrite sorts on the column (a list Z-orders) and
@@ -140,8 +137,6 @@ class ReplayConfig:
             raise ValueError("lake is required")
         if self.ordering not in ("ORDERED", "UN_ORDERED"):
             raise ValueError(f"bad ordering {self.ordering!r}")
-        if self.shuffle not in ("tasks", "sort"):
-            raise ValueError(f"bad shuffle {self.shuffle!r}")
         if self.num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         if self.sort_key_components < 1:
@@ -224,12 +219,10 @@ def config_to_dict(cfg: ReplayConfig) -> dict:
         "track_previous": cfg.track_previous,
         "retry": {"max_duration_seconds": cfg.retry.max_duration_seconds,
                   "delay_seconds": cfg.retry.delay_seconds},
-        "shuffle": cfg.shuffle,
         "num_partitions": cfg.num_partitions,
         "chunk_max_events": cfg.chunk_max_events,
         "compact_every": cfg.compact_every,
         "manifest_every": cfg.manifest_every,
-        "batch_size": cfg.batch_size,
         "merge_fanin": cfg.merge_fanin,
         "pipeline_chunks": cfg.pipeline_chunks,
         "cluster_by": cfg.cluster_by,
@@ -256,8 +249,8 @@ def config_from_dict(d: dict, runtime_args: dict[str, str] | None = None) -> Rep
     retry = RetryConfig(**d.get("retry", {}))
     kw = {k: d[k] for k in (
         "event_log", "lake", "ordering", "sort_key_components",
-        "track_previous", "shuffle", "num_partitions", "chunk_max_events",
-        "compact_every", "manifest_every", "batch_size", "merge_fanin",
+        "track_previous", "num_partitions", "chunk_max_events",
+        "compact_every", "manifest_every", "merge_fanin",
         "pipeline_chunks",
         "cluster_by", "cluster_row_group_rows",
         "vacuum", "generation") if k in d}

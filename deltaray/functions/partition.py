@@ -121,20 +121,19 @@ def _merge_part(fn, *splits: pa.Table) -> pa.Table:
 
 
 def hash_partitioned(ds, key_cols: list[str], fn, *, num_partitions: int = 64,
-                     via: str = "tasks", merge_fanin: int | None = None,
+                     merge_fanin: int | None = None,
                      split_groups: int | None = None):
     """Apply ``fn(block: pa.Table) -> pa.Table`` to complete hash
     partitions of the key space.  ``fn`` sees every row of every key that
     hashes into its partition (and nothing else) and must group
     internally — use :func:`group_codes`.
 
-    ``via="tasks"`` (default) runs the exchange as the classic two-stage
-    Ray-task shuffle the engine core uses (pipeline._submit_exchange):
+    The exchange is the classic two-stage Ray-task shuffle the engine
+    core uses (pipeline._submit_exchange):
     each upstream block is split once by partition (``num_returns=P``)
     and one merge task per partition gathers its splits zero-copy — no
     sort of the rows, no Dataset all-to-all.  The result is re-wrapped
     with ``from_arrow_refs`` so downstream Dataset ops keep chaining.
-    ``via="sort"`` falls back to the pure-Dataset groupby exchange.
 
     ``merge_fanin`` caps how many upstream splits any single merge task
     takes as arguments.  The flat exchange hands each partition's merge
@@ -170,11 +169,6 @@ def hash_partitioned(ds, key_cols: list[str], fn, *, num_partitions: int = 64,
         return batch.append_column("__part", pa.array(part.astype(np.int32)))
 
     tagged = ds.map_batches(tag, batch_format="pyarrow")
-    if via == "sort":
-        def run(group: pa.Table) -> pa.Table:
-            return fn(group.drop_columns(["__part"]))
-
-        return tagged.groupby("__part").map_groups(run, batch_format="pyarrow")
 
     import ray
     import ray.data

@@ -1,27 +1,31 @@
-"""Replay driver: chunk planning, DDL barriers, the one shuffle, merge
+"""Replay driver: chunk planning, DDL barriers, the chunk exchange, merge
 stage, resume, retry.
 
 Ray-native restructuring of the reference's single-threaded
 poll-transform-apply loop (DeltaWorker.run:269-449): the change log is
-data in Parquet, chunks of it stream through
+data in Parquet, and each DML chunk of it runs as plain Ray tasks
 
-    read_parquet(segments, filter=seq∈chunk, columns=pruned)
-      → map_batches(TransformStage)        # F1-F9 + phase-1 LWW, stateless tasks
-      → groupby("__shard")                 # the ONE all-to-all per chunk
-      → map_groups(merge)                  # per-(table,partition) LWW upsert + commit
-      → take_all()                         # tiny lineage rows only
+    _read_transform_split × read units   # row-group bundle → seq filter →
+                                         # TransformStage (F1-F9 + phase-1
+                                         # LWW) → split by __shard
+      → _merge_shard × shards            # per-(table,partition) LWW upsert
+                                         # + commit; returns lineage rows
 
-DDL events are chunk barriers handled on the driver (they are O(1) per
-run and mutate only the schema registry / truncate markers), the Arrow
-analog of in-stream applyDDL (DeltaWorker.java:481-493).
+Up to ``pipeline_chunks`` chunks are in flight; shard s of a chunk
+chains on shard s of the previous one, so per-partition apply order
+holds without a global barrier.  DDL events are chunk barriers handled
+on the driver (they are O(1) per run and mutate only the schema
+registry / truncate markers), the Arrow analog of in-stream applyDDL
+(DeltaWorker.java:481-493).
 
 Resume (DeltaWorker.startFromLastCommit:566-592 analog): a chunk-done
 marker skips whole chunks; inside a partially-applied chunk the per
 (partition, seq_range) commit records make re-merges no-ops.  Retry
 (Failsafe policy, DeltaWorker.java:303-403 + RetryConfig.java:25-40):
-chunks are retried within ``retry.max_duration_seconds``;
-``DeltaFailureError`` aborts immediately (DeltaFailureException analog,
-EventConsumer.java:49-57).
+one policy for every window — a failure is retried within
+``retry.max_duration_seconds`` (0 = no retry) by re-applying the pending
+chunks in order; ``DeltaFailureError`` aborts immediately
+(DeltaFailureException analog, EventConsumer.java:49-57).
 """
 
 from __future__ import annotations
@@ -481,50 +485,23 @@ class ReplaySession:
         n_shards = cfg.num_partitions * max(1, len(self.schemas))
         return files, columns, stage, merge, n_shards
 
-    def _run_dml_chunk(self, chunk: Chunk) -> list[dict]:
-        import ray
-
-        cfg = self.cfg
+    def _submit_chunk(self, chunk: Chunk,
+                      prev_refs: list | None = None) -> list:
+        """Plan and submit one DML chunk; the per-shard merge refs, or []
+        when it has nothing to apply."""
         plan = self._plan_chunk(chunk)
         if plan is None:
             return []
         files, columns, stage, merge, n_shards = plan
-        if cfg.shuffle == "sort":
-            import ray.data
+        return self._submit_exchange(files, columns, chunk, stage, merge,
+                                     n_shards, prev_refs=prev_refs)
 
-            # Size read parallelism to the cluster, not the file count:
-            # segments carry small row groups precisely so reads can split.
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-            n_rows = sum(s.n_rows for s in self.segments if s.path in set(files))
-            blocks = max(len(files), min(2 * ncpu, max(1, n_rows // 16384)))
-            flt = (pc.field("seq") > chunk.seq_lo) & (pc.field("seq") <= chunk.seq_hi)
-            ds = ray.data.read_parquet(
-                files, columns=columns, filter=flt, override_num_blocks=blocks
-            )
-            ds = ds.map_batches(stage, batch_format="pyarrow",
-                                batch_size=cfg.batch_size)
-            return self._exchange_sort(ds, merge)
-        refs = self._submit_exchange(files, columns, chunk, stage, merge,
-                                     n_shards)
-        lineage: list[dict] = []
-        for tbl in ray.get(refs):
-            lineage.extend(tbl.to_pylist())
-        return lineage
+    def _run_dml_chunk(self, chunk: Chunk) -> list[dict]:
+        """Synchronous apply of one DML chunk (the retry path)."""
+        import ray
 
-    def _exchange_sort(self, ds, merge) -> list[dict]:
-        """Pure-Dataset exchange: groupby(__shard).map_groups(merge) under a
-        push-based sort shuffle.  Simple but sorts fat token rows; kept as
-        the fallback (cfg.shuffle="sort")."""
-        from ray.data.context import DataContext, ShuffleStrategy
-
-        ctx = DataContext.get_current()
-        prev_strategy = ctx.shuffle_strategy
-        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-        try:
-            out = ds.groupby("__shard").map_groups(merge, batch_format="pyarrow")
-            return out.take_all()
-        finally:
-            ctx.shuffle_strategy = prev_strategy
+        return [r for tbl in ray.get(self._submit_chunk(chunk))
+                for r in tbl.to_pylist()]
 
     def _submit_exchange(self, files, columns, chunk, stage, merge,
                          n_shards: int, prev_refs: list | None = None) -> list:
@@ -564,7 +541,7 @@ class ReplaySession:
         merge_task = ray.remote(_merge_shard)
         merge_after = ray.remote(_merge_shard_after)
         combine = ray.remote(_combine_splits)
-        fanin = max(2, int(getattr(self.cfg, "merge_fanin", 256) or 256))
+        fanin = max(2, self.cfg.merge_fanin)
         out: list = [None] * n_shards
         chain = prev_refs if prev_refs and len(prev_refs) == n_shards else None
         for s in self._shard_order(n_shards):
@@ -619,8 +596,8 @@ class ReplaySession:
         meta = {
             "num_partitions": self.cfg.num_partitions,
             "ordering": self.cfg.ordering,
-            "sort_key_components": getattr(self.cfg, "sort_key_components", 2),
-            "track_previous": bool(getattr(self.cfg, "track_previous", False)),
+            "sort_key_components": self.cfg.sort_key_components,
+            "track_previous": bool(self.cfg.track_previous),
             # partitioner identity: a lake written under another
             # stable_hash_cols must fail fast, not mis-route keys
             "hash_version": HASH_VERSION,
@@ -644,31 +621,33 @@ class ReplaySession:
                 meta, format_version=LAKE_FORMAT_VERSION))
 
     # ---------------------------------------------------------------- run
+    def _retry_or_raise(self, exc: Exception, chunk: Chunk, t0: float) -> None:
+        """The one retry policy (Failsafe, DeltaWorker.java:303-403 +
+        RetryConfig.java:25-40), whatever the window and wherever the
+        chunk failed.  ``DeltaFailureError`` aborts at once.  Any other
+        failure counts as an error and persists FAILING for every table
+        (PipelineStateService.java:40-127, DeltaContext.setTableError:
+        128-152) — an operator watching lineage_report sees which table
+        is sick while retries spin — then re-raises once the run has
+        spent ``retry.max_duration_seconds`` (0 = no retry), or sleeps
+        before the caller re-applies."""
+        if isinstance(exc, DeltaFailureError):
+            raise exc
+        self.errors += 1  # dml.errors analog (EventMetrics.java)
+        err = f"{type(exc).__name__}: {exc}"
+        for t in self.schemas:
+            self.lake.set_table_error(t, err, (chunk.seq_lo, chunk.seq_hi))
+        if time.time() >= t0 + self.cfg.retry.max_duration_seconds:
+            raise exc
+        time.sleep(self.cfg.retry.delay_seconds)
+
     def _run_chunk_with_retry(self, chunk: Chunk, t0: float) -> list[dict]:
-        """Serial apply of one DML chunk under the bounded retry policy,
-        persisting FAILING table state across attempts."""
-        cfg = self.cfg
-        deadline = t0 + (cfg.retry.max_duration_seconds or 0)
+        """Serial re-apply of one DML chunk under the retry policy."""
         while True:
             try:
                 return self._run_dml_chunk(chunk)
-            except DeltaFailureError:
-                raise
             except Exception as exc:
-                self.errors += 1  # dml.errors analog (EventMetrics.java)
-                # persist FAILING for every table the chunk touches
-                # BEFORE retrying (PipelineStateService.java:40-127,
-                # DeltaContext.setTableError:128-152) — an operator
-                # watching lineage_report sees which table is sick
-                # while the retry loop spins
-                err = f"{type(exc).__name__}: {exc}"
-                for t in self.schemas:
-                    self.lake.set_table_error(
-                        t, err, (chunk.seq_lo, chunk.seq_hi))
-                if cfg.retry.max_duration_seconds and time.time() < deadline:
-                    time.sleep(cfg.retry.delay_seconds)
-                    continue
-                raise
+                self._retry_or_raise(exc, chunk, t0)
 
     def run(self, on_chunk=None) -> dict:
         import ray
@@ -691,16 +670,17 @@ class ReplaySession:
                 lineage_rows.extend(rows[:room])
 
         t0 = time.time()
-        window = max(1, int(getattr(cfg, "pipeline_chunks", 1) or 1))
-        pipelined = cfg.shuffle != "sort" and window > 1
-        # in-flight pipelined chunks: (idx, chunk, marker_path, merge refs)
+        # every DML chunk is submitted the same way; pipeline_chunks only
+        # sets how many stay in flight (1 = drain each before the next)
+        window = max(1, cfg.pipeline_chunks)
+        # in-flight chunks, oldest first: (idx, chunk, merge refs)
         inflight: list[tuple] = []
         prev_refs: list | None = None
 
         chunk_secs: list[dict] = []
         last_done = time.time()
 
-        def finish(idx, chunk, marker, rows):
+        def finish(idx, chunk, rows):
             # successful apply clears FAILING (OK → FAILING → REPLICATING,
             # DeltaPipelineStateStoreBaseTest.testFailureRetries:308-397)
             nonlocal last_done
@@ -722,43 +702,37 @@ class ReplaySession:
             self.lake.write_chunk_done(
                 chunk.seq_lo, chunk.seq_hi,
                 {"chunk": [chunk.seq_lo, chunk.seq_hi]},
-                manifest_every=getattr(self.cfg, "manifest_every", 0))
+                manifest_every=cfg.manifest_every)
             if on_chunk is not None:
                 on_chunk(idx, chunk, rows)
 
+        def reapply_window() -> None:
+            """After a failure the policy retries: later merges chain on
+            the failed refs, so cancel the whole window, then re-apply
+            each pending chunk IN ORDER through the serial retry path
+            (merges are idempotent: committed (part, seq_range)s skip)."""
+            nonlocal prev_refs
+            pend = list(inflight)
+            inflight.clear()
+            prev_refs = None
+            _cancel_refs([r for _, _, rs in pend for r in rs])
+            for idx, chunk, _ in pend:
+                finish(idx, chunk, self._run_chunk_with_retry(chunk, t0))
+
         def drain(keep: int) -> None:
             """Complete in-flight chunks (oldest first, preserving the
-            marker prefix order) until at most ``keep`` remain.  On a
-            merge failure, cancel everything downstream and fall back to
-            the serial retry loop for every pending chunk in order."""
-            nonlocal prev_refs
+            marker prefix order) until at most ``keep`` remain."""
             while len(inflight) > keep:
-                idx, chunk, marker, refs = inflight[0]
+                idx, chunk, refs = inflight[0]
                 try:
                     tabs = ray.get(refs)
-                except DeltaFailureError:
-                    raise
                 except Exception as exc:
-                    self.errors += 1
-                    err = f"{type(exc).__name__}: {exc}"
-                    for t in self.schemas:
-                        self.lake.set_table_error(
-                            t, err, (chunk.seq_lo, chunk.seq_hi))
-                    # downstream merges chain on the failed refs — cancel
-                    # the window, then re-apply each pending chunk IN
-                    # ORDER through the serial retry path (merges are
-                    # idempotent: committed (part, seq_range)s skip)
-                    pend = list(inflight)
-                    inflight.clear()
-                    prev_refs = None
-                    _cancel_refs([r for _, _, _, rs in pend for r in rs])
-                    for idx2, chunk2, marker2, _ in pend:
-                        rows2 = self._run_chunk_with_retry(chunk2, t0)
-                        finish(idx2, chunk2, marker2, rows2)
+                    self._retry_or_raise(exc, chunk, t0)
+                    reapply_window()
                     continue
                 inflight.pop(0)
-                rows = [r for tbl in tabs for r in tbl.to_pylist()]
-                finish(idx, chunk, marker, rows)
+                finish(idx, chunk,
+                       [r for tbl in tabs for r in tbl.to_pylist()])
 
         try:
             # completed-chunk set loaded ONCE per run (manifest-aware:
@@ -779,23 +753,18 @@ class ReplaySession:
                     # already-committed prefix: its state is final on disk,
                     # so no ordering ref is needed for successors
                     continue
-                if not pipelined:
-                    rows = self._run_chunk_with_retry(chunk, t0)
-                    finish(idx, chunk, marker, rows)
+                try:
+                    refs = self._submit_chunk(chunk, prev_refs)
+                except Exception as exc:  # planning/submission, driver-side
+                    self._retry_or_raise(exc, chunk, t0)
+                    inflight.append((idx, chunk, []))
+                    reapply_window()
                     continue
-                plan = self._plan_chunk(chunk)
-                if plan is None:
-                    finish(idx, chunk, marker, [])
-                    continue
-                files, columns, stage, merge, n_shards = plan
-                refs = self._submit_exchange(files, columns, chunk, stage,
-                                             merge, n_shards,
-                                             prev_refs=prev_refs)
                 if refs:
-                    # an empty submission (no overlapping row groups)
-                    # keeps the previous chain alive for the next chunk
+                    # an empty submission (nothing to apply) keeps the
+                    # previous chain alive for the next chunk
                     prev_refs = refs
-                inflight.append((idx, chunk, marker, refs))
+                inflight.append((idx, chunk, refs))
                 drain(window - 1)
             drain(0)
         finally:
@@ -803,8 +772,7 @@ class ReplaySession:
             # leave orphan merges racing a restarted replay: cancel and
             # wait for every in-flight task before surfacing it
             if inflight:
-                left = [r for _, _, _, rs in inflight for r in rs]
-                _cancel_refs(left)
+                _cancel_refs([r for _, _, rs in inflight for r in rs])
         metrics = collect_metrics(self.lake, list(self.schemas) + sorted(self.dropped))
         metrics["errors"] = self.errors
         metrics["wall_seconds"] = round(time.time() - t0, 3)
@@ -1199,27 +1167,12 @@ def _dropped_asof(lake: LakeState, table: str, seq: int | None) -> bool:
 
 def _live_parts_asof(lake: LakeState, table: str,
                      before: int | None) -> list[int]:
-    """Partitions with live commits (as of ``before``), verifying their
-    data files still exist — the vacuum-retention gate for as-of reads."""
-    parts = []
-    for d in sorted(glob.glob(os.path.join(lake.table_dir(table),
-                                           "part=*"))):
-        p = int(os.path.basename(d).split("=")[1])
-        live = lake.live_commits(table, p, before)
-        if before is not None:
-            _raise_if_interior_anchor(lake, table, p, before, live)
-        if not live:
-            continue
-        if before is not None:
-            missing = [c["file"] for c in live
-                       if not os.path.exists(os.path.join(d, c["file"]))]
-            if missing:
-                raise SnapshotExpiredError(
-                    f"snapshot seq<{before} of {table!r} part {p} needs "
-                    f"vacuumed file(s) {missing}; earliest readable anchor "
-                    f"is earliest_snapshot(...)")
-        parts.append(p)
-    return parts
+    """Partitions with live commits (as of ``before``), each through the
+    as-of gate of :func:`_live_parts_asof_one`."""
+    parts = [int(os.path.basename(d).split("=")[1])
+             for d in glob.glob(os.path.join(lake.table_dir(table), "part=*"))]
+    return [p for p in sorted(parts)
+            if _live_parts_asof_one(lake, table, p, before)]
 
 
 def _raise_if_interior_anchor(lake: LakeState, table: str, part: int,
@@ -1593,17 +1546,24 @@ def read_history(lake_root: str, table: str, keys: list,
 
 
 def _live_parts_asof_one(lake: LakeState, table: str, part: int,
-                         before: int) -> None:
-    """Vacuum-retention check for a single partition's as-of read."""
-    d = lake.part_dir(table, part)
+                         before: int | None) -> list[dict]:
+    """One partition's live commits as of ``before``.  For an as-of read
+    (``before`` set) this is the vacuum-retention gate: it raises when
+    the anchor is interior to a coarser commit or a live file has been
+    vacuumed."""
     live = lake.live_commits(table, part, before)
+    if before is None:
+        return live
     _raise_if_interior_anchor(lake, table, part, before, live)
+    d = lake.part_dir(table, part)
     missing = [c["file"] for c in live
                if not os.path.exists(os.path.join(d, c["file"]))]
     if missing:
         raise SnapshotExpiredError(
             f"snapshot seq<{before} of {table!r} part {part} needs "
-            f"vacuumed file(s) {missing}")
+            f"vacuumed file(s) {missing}; earliest readable anchor "
+            f"is earliest_snapshot(...)")
+    return live
 
 
 def current_data_files(lake_root: str, table: str, generation: int = 0) -> list[str]:

@@ -182,23 +182,25 @@ def test_macro_expansion_does_not_mutate_shared_tableconfig(tmp_path):
     assert shared.transformations == ["set-default source ${src}"]
 
 
-def test_failing_state_persisted_and_cleared(tmp_log, tmp_lake, monkeypatch):
+@pytest.mark.parametrize("window", [1, 2])
+def test_failing_state_persisted_and_cleared(tmp_log, tmp_lake, monkeypatch,
+                                             window):
     """OK -> FAILING -> REPLICATING (reference
     DeltaPipelineStateStoreBaseTest.testFailureRetries:308-397): an apply
     failure persists {FAILING, error} for the table so lineage_report
-    shows it while retries spin; a successful retry clears it."""
+    shows it while retries spin; a successful retry clears it — the same
+    at every pipelining window."""
     from deltaray.config import RetryConfig
     from deltaray.gen import write_event_log
     from deltaray.pipeline import ReplaySession, lineage_report
 
     write_event_log(tmp_log, n_docs=50, n_events=400, seed=11)
-    # serial path (the pipelined fallback reuses the same retry seam)
     cfg = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=2,
-                       pipeline_chunks=1)
+                       pipeline_chunks=window)
 
-    real = ReplaySession._run_dml_chunk
+    real = ReplaySession._plan_chunk
     monkeypatch.setattr(
-        ReplaySession, "_run_dml_chunk",
+        ReplaySession, "_plan_chunk",
         lambda self, chunk: (_ for _ in ()).throw(RuntimeError("induced")))
     with pytest.raises(RuntimeError, match="induced"):
         replay(cfg)
@@ -220,9 +222,9 @@ def test_failing_state_persisted_and_cleared(tmp_log, tmp_lake, monkeypatch):
             seen_mid_retry.update(lineage_report(tmp_lake, "docs"))
         return real(self, chunk)
 
-    monkeypatch.setattr(ReplaySession, "_run_dml_chunk", flaky)
+    monkeypatch.setattr(ReplaySession, "_plan_chunk", flaky)
     cfg2 = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=2,
-                        pipeline_chunks=1,
+                        pipeline_chunks=window,
                         retry=RetryConfig(max_duration_seconds=60,
                                           delay_seconds=0.01))
     replay(cfg2)

@@ -1,13 +1,17 @@
 """Reference-shaped scenario tests (FIXTURES.md §3; reference analogs in
 DeltaPipelineStateStoreBaseTest.java)."""
 
+import os
+
 import pyarrow.compute as pc
 import pytest
 
 from deltaray import ReplayConfig, TableConfig, replay, replay_oracle
+from deltaray.config import RetryConfig
 from deltaray.gen import write_event_log
 from deltaray.oracle import tables_equal
-from deltaray.pipeline import DeltaFailureError, ReplaySession, read_table
+from deltaray.pipeline import (DeltaFailureError, ReplaySession,
+                               lineage_report, read_table)
 
 
 def _check(cfg, tables=("docs",)):
@@ -56,26 +60,26 @@ def test_resume_midway(tmp_log, tmp_lake):
 def test_retry_idempotent_merge(tmp_log, tmp_lake):
     """A transiently failing merge stage is retried; committed seq ranges
     are applied once (testFailureRetries:308-397 / FailureTarget)."""
+    import ray
+
     write_event_log(tmp_log, n_docs=100, n_events=1000, seed=23)
-    # pipeline_chunks=1: this test injects at the serial chunk-apply
-    # seam, which pipelined mode only reaches as the failure fallback
-    # (covered by test_pipelined_merge_failure_falls_back)
     cfg = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=4,
-                       chunk_max_events=400, pipeline_chunks=1)
+                       chunk_max_events=400)
     cfg.retry.max_duration_seconds = 60
 
     session = ReplaySession(cfg)
-    orig = session._run_dml_chunk
+    orig = session._submit_exchange
     fails = {"n": 0}
 
-    def flaky(chunk):
-        rows = orig(chunk)
+    def flaky(*args, **kwargs):
+        refs = orig(*args, **kwargs)
         if fails["n"] < 2:
+            ray.get(refs)  # the chunk's merges have committed
             fails["n"] += 1
             raise RuntimeError("injected transient failure AFTER commit")
-        return rows
+        return refs
 
-    session._run_dml_chunk = flaky
+    session._submit_exchange = flaky
     session.run()
     assert fails["n"] == 2
     oracle = replay_oracle(cfg)
@@ -87,27 +91,21 @@ def test_retry_idempotent_merge(tmp_log, tmp_lake):
     assert m["dml_events"] == 1100
 
 
-def test_pipelined_merge_failure_falls_back(tmp_log, tmp_lake, monkeypatch):
-    """With chunk pipelining active, a merge-task failure mid-window
-    cancels the in-flight chain and re-applies the pending chunks through
-    the serial retry path — final state still equals the oracle, commits
-    apply exactly once, FAILING is cleared."""
-    import os as _os
-
-    from deltaray.pipeline import ReplaySession, lineage_report
-
+def _fail_one_merge(monkeypatch, tmp_log, tmp_lake, exc_type=RuntimeError,
+                    **cfg_kw):
+    """Session over a multi-chunk log whose SECOND DML chunk's merge
+    raises ``exc_type`` once inside its Ray task (the flag file makes the
+    failure one-shot across worker processes).  Returns (cfg, session,
+    flag path)."""
     write_event_log(tmp_log, n_docs=120, n_events=2000, seed=31,
                     segment_max_events=300)
     cfg = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=4,
-                       chunk_max_events=400, pipeline_chunks=3)
-    cfg.retry.max_duration_seconds = 60
+                       chunk_max_events=400, **cfg_kw)
     session = ReplaySession(cfg)
-    # inject: the SECOND DML chunk's merge raises once (flag file makes
-    # the failure visible across Ray worker processes and one-shot)
     dml_chunks = [c for c in session.chunks if c.kind != "ddl"]
     assert len(dml_chunks) >= 3, "need a window to pipeline"
     target_lo = dml_chunks[1].seq_lo
-    flag = _os.path.join(tmp_log, "_injected_failure")
+    flag = os.path.join(tmp_log, "_injected_failure")
     real_plan = ReplaySession._plan_chunk
 
     def plan(self, chunk):
@@ -116,17 +114,28 @@ def test_pipelined_merge_failure_falls_back(tmp_log, tmp_lake, monkeypatch):
             return p
         files, columns, stage, merge, n_shards = p
 
-        def flaky_merge(tbl, _merge=merge, _flag=flag):
-            if not _os.path.exists(_flag):
+        def flaky_merge(tbl, _merge=merge, _flag=flag, _exc=exc_type):
+            if not os.path.exists(_flag):
                 open(_flag, "w").close()
-                raise RuntimeError("injected pipelined merge failure")
+                raise _exc("injected merge failure")
             return _merge(tbl)
 
         return files, columns, stage, flaky_merge, n_shards
 
     monkeypatch.setattr(ReplaySession, "_plan_chunk", plan)
+    return cfg, session, flag
+
+
+def test_pipelined_merge_failure_falls_back(tmp_log, tmp_lake, monkeypatch):
+    """With chunk pipelining active, a merge-task failure mid-window
+    cancels the in-flight chain and re-applies the pending chunks through
+    the serial retry path — final state still equals the oracle, commits
+    apply exactly once, FAILING is cleared."""
+    cfg, session, flag = _fail_one_merge(
+        monkeypatch, tmp_log, tmp_lake, pipeline_chunks=3,
+        retry=RetryConfig(max_duration_seconds=60))
     res = session.run()
-    assert _os.path.exists(flag), "injection never fired"
+    assert os.path.exists(flag), "injection never fired"
     assert res["metrics"]["errors"] >= 1
     oracle = replay_oracle(cfg)
     got = read_table(tmp_lake, "docs")
@@ -142,8 +151,7 @@ def test_delta_failure_aborts(tmp_log, tmp_lake):
     """DeltaFailureError ⇒ fail immediately, no retry
     (testFailImmediately:235-261)."""
     write_event_log(tmp_log, n_docs=50, n_events=100, seed=25)
-    cfg = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=2,
-                       pipeline_chunks=1)
+    cfg = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=2)
     cfg.retry.max_duration_seconds = 9999
 
     session = ReplaySession(cfg)
@@ -151,9 +159,47 @@ def test_delta_failure_aborts(tmp_log, tmp_lake):
     def boom(chunk):
         raise DeltaFailureError("unrecoverable")
 
-    session._run_dml_chunk = boom
+    session._plan_chunk = boom
     with pytest.raises(DeltaFailureError):
         session.run()
+    assert session.errors == 0
+
+
+@pytest.mark.parametrize("budget,window,exc_type", [
+    pytest.param(0, 1, RuntimeError, id="0-1"),
+    pytest.param(0, 3, RuntimeError, id="0-3"),
+    pytest.param(60, 1, RuntimeError, id="60-1"),
+    pytest.param(60, 3, RuntimeError, id="60-3"),
+    pytest.param(60, 3, DeltaFailureError, id="fatal-3"),
+])
+def test_retry_policy_same_at_every_window(tmp_log, tmp_lake, monkeypatch,
+                                           budget, window, exc_type):
+    """One retry policy whatever ``pipeline_chunks``: a merge that fails
+    once inside its Ray task raises at once with no retry budget
+    (FAILING persisted), is re-applied exactly once within the budget,
+    and a DeltaFailureError raised in the task aborts without a retry."""
+    cfg, session, flag = _fail_one_merge(
+        monkeypatch, tmp_log, tmp_lake, exc_type, pipeline_chunks=window,
+        retry=RetryConfig(max_duration_seconds=budget, delay_seconds=0.01))
+    if exc_type is DeltaFailureError:
+        with pytest.raises(DeltaFailureError):
+            session.run()
+        assert session.errors == 0
+        return
+    if budget == 0:
+        with pytest.raises(RuntimeError, match="injected merge failure"):
+            session.run()
+        assert session.errors == 1
+        rep = lineage_report(tmp_lake, "docs")
+        assert "FAILING" in rep["tables"]["docs"]["states"]
+        return
+    res = session.run()
+    assert os.path.exists(flag), "injection never fired"
+    assert res["metrics"]["errors"] == 1
+    oracle = replay_oracle(cfg)
+    ok, msg = tables_equal(read_table(tmp_lake, "docs"), oracle["docs"])
+    assert ok, msg
+    assert res["metrics"]["total"]["dml_events"] == 2000 + 120
 
 
 def test_schema_evolution(tmp_log, tmp_lake):
@@ -286,23 +332,6 @@ def test_table_subset_filter(tmp_log, tmp_lake):
     import os
 
     assert not os.path.isdir(os.path.join(cfg.lake, "gen=0000", "other"))
-
-
-def test_shuffle_modes_equivalent(tmp_log, tmp_lake):
-    """The task-exchange shuffle (default) and the Dataset sort shuffle
-    produce identical lakes; both match the oracle."""
-    write_event_log(tmp_log, n_docs=150, n_events=2000, seed=31,
-                    segment_max_events=700)
-    oracle = None
-    for mode in ("tasks", "sort"):
-        lake = f"{tmp_lake}-{mode}"
-        cfg = ReplayConfig(event_log=tmp_log, lake=lake, num_partitions=4,
-                           chunk_max_events=900, shuffle=mode)
-        replay(cfg)
-        oracle = oracle or replay_oracle(cfg)
-        got = read_table(lake, "docs")
-        ok, msg = tables_equal(got, oracle["docs"])
-        assert ok, f"{mode}: {msg}"
 
 
 def test_custom_directive_registry(tmp_log, tmp_lake):
