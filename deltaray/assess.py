@@ -201,7 +201,6 @@ def validate_lake(lake_root: str, generation: int = 0,
     resume could corrupt or a read would crash on, warnings are
     recoverable (orphans, missing lineage).
     """
-    import glob
     import json
     import os
 
@@ -239,9 +238,8 @@ def validate_lake(lake_root: str, generation: int = 0,
         if lake.current_schema(t) is None:
             errors.append(f"{t}: no schema records")
             continue
-        for d in sorted(glob.glob(os.path.join(lake.table_dir(t),
-                                               "part=*"))):
-            p = int(os.path.basename(d).split("=")[1])
+        for p in lake.partitions(t):
+            d = lake.part_dir(t, p)
             info["partitions"] += 1
             if num_partitions is not None and not 0 <= p < num_partitions:
                 errors.append(f"{t}/part={p}: outside num_partitions="

@@ -38,6 +38,7 @@ the Ray translation of the (offset, sequenceNumber) checkpoint
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import tempfile
@@ -281,6 +282,32 @@ def _base_row_groups(path: str, prune: list[tuple]) -> list[int] | None:
     return keep if any_skip else None
 
 
+def live_window(commits: list[dict], truncs: list[int],
+                before: int | None = None) -> list[dict]:
+    """The commits whose data files make up a partition's state as of
+    ``before`` (None = head), from its state-ordered listing and its
+    table's TRUNCATE seqs: the last ``base`` (full-state) commit plus
+    every ``delta`` commit after it, minus every commit a TRUNCATE
+    marker hides (one whose range precedes the newest marker).
+    Merge-on-read: concatenating these files and LWW-reducing per key
+    reproduces the exact state — LWW over unique versions is
+    associative, so base+deltas ≡ the fully compacted file.  Returns
+    copies: listed records alias the manifest cache, and e.g. reshard
+    and feed callers annotate the live window in place."""
+    if before is not None:
+        commits = [c for c in commits if c["seq_hi"] < before]
+        truncs = [t for t in truncs if t < before]
+    bi = None
+    for i, c in enumerate(commits):
+        if c.get("kind", "base") == "base":
+            bi = i
+    sel = commits if bi is None else commits[bi:]
+    if truncs:
+        tmax = max(truncs)
+        sel = [c for c in sel if c["seq_hi"] >= tmax]
+    return [dict(c) for c in sel]
+
+
 class LakeState:
     """Paths + small-state helpers for one lake generation.
 
@@ -372,6 +399,12 @@ class LakeState:
             int(f[len("trunc-"):-len(".json")]) for f in os.listdir(d)
             if f.startswith("trunc-")
         )
+
+    def partitions(self, table: str) -> list[int]:
+        """Ids of the table's partition data directories, ascending."""
+        return sorted(
+            int(os.path.basename(d).split("=")[1])
+            for d in glob.glob(os.path.join(self.table_dir(table), "part=*")))
 
     # ------------------------------------------------------------ commits
     def list_commits(self, table: str, part: int) -> list[dict]:
@@ -627,28 +660,10 @@ class LakeState:
     def live_commits(self, table: str, part: int,
                      before_seq: int | None = None) -> list[dict]:
         """The commits whose data files make up the partition's CURRENT
-        state: the last ``base`` (full-state) commit plus every ``delta``
-        commit after it, honoring TRUNCATE markers (a marker hides every
-        commit whose range precedes it).  Merge-on-read: concatenating
-        these files and LWW-reducing per key reproduces the exact state —
-        LWW over unique versions is associative, so base+deltas ≡ the
-        fully compacted file."""
-        commits = self._list_commits_raw(table, part)
-        if before_seq is not None:
-            commits = [c for c in commits if c["seq_hi"] < before_seq]
-        bi = None
-        for i, c in enumerate(commits):
-            if c.get("kind", "base") == "base":
-                bi = i
-        sel = commits if bi is None else commits[bi:]
-        truncs = [t for t in self.truncate_seqs(table)
-                  if before_seq is None or t < before_seq]
-        if truncs:
-            tmax = max(truncs)
-            sel = [c for c in sel if c["seq_hi"] >= tmax]
-        # copy the (small) live window — raw records alias the manifest
-        # cache and e.g. reshard/feed callers annotate them in place
-        return [dict(c) for c in sel]
+        state (as of ``before_seq``): :func:`live_window` over this
+        partition's listing and the table's TRUNCATE markers."""
+        return live_window(self._list_commits_raw(table, part),
+                           self.truncate_seqs(table), before_seq)
 
     def try_commit(
         self,
@@ -783,12 +798,12 @@ class LakeState:
         ``io_stats`` (optional dict) accumulates {"files_read",
         "files_pruned"} for observability/tests."""
         commits = self._list_commits_raw(table, part)  # read-only here
+        live = live_window(commits, self.truncate_seqs(table), before_seq)
         if before_seq is not None:
             commits = [c for c in commits if c["seq_hi"] < before_seq]
         if not commits:
             return None, 0
         hi = int(commits[-1]["seq_hi"])
-        live = self.live_commits(table, part, before_seq)
         if min_seq_hi is not None:
             # incremental-read pruning: skip live files wholly at or
             # below the anchor.  ONLY correct for ORDERED lakes, where

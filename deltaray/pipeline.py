@@ -30,6 +30,7 @@ chunks in order; ``DeltaFailureError`` aborts immediately
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import json
 import os
@@ -43,8 +44,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from deltaray.commit import (LakeState, atomic_write_json, check_lake_format,
-                             stats_disjoint,
-                             stats_disjoint_any)
+                             live_window, stats_disjoint_any)
 from deltaray.config import ReplayConfig
 from deltaray.merge import evolve_to, make_merge_fn, strip_internal
 from deltaray.schemas import DDL_OPS, TableSchema, apply_ddl, code_to_type
@@ -1169,14 +1169,40 @@ def _live_parts_asof(lake: LakeState, table: str,
                      before: int | None) -> list[int]:
     """Partitions with live commits (as of ``before``), each through the
     as-of gate of :func:`_live_parts_asof_one`."""
-    parts = [int(os.path.basename(d).split("=")[1])
-             for d in glob.glob(os.path.join(lake.table_dir(table), "part=*"))]
-    return [p for p in sorted(parts)
+    return [p for p in lake.partitions(table)
             if _live_parts_asof_one(lake, table, p, before)]
 
 
-def _raise_if_interior_anchor(lake: LakeState, table: str, part: int,
-                              before: int, live: list) -> None:
+def _live_parts_asof_one(lake: LakeState, table: str, part: int,
+                         before: int | None,
+                         min_seq_hi: int | None = None) -> list[dict]:
+    """One partition's live commits as of ``before``, from ONE commit
+    listing and one TRUNCATE listing.  For an as-of read (``before``
+    set) this is the one vacuum-retention gate every read shares: it
+    raises when the anchor is interior to a coarser commit or a live
+    file the read will touch (``seq_hi > min_seq_hi``, default all) has
+    been vacuumed."""
+    commits = lake._list_commits_raw(table, part)
+    truncs = lake.truncate_seqs(table)
+    live = live_window(commits, truncs, before)
+    if before is None:
+        return live
+    _raise_if_interior_anchor(table, part, before, live, commits, truncs)
+    d = lake.part_dir(table, part)
+    missing = [c["file"] for c in live
+               if (min_seq_hi is None or c["seq_hi"] > min_seq_hi)
+               and not os.path.exists(os.path.join(d, c["file"]))]
+    if missing:
+        raise SnapshotExpiredError(
+            f"snapshot seq<{before} of {table!r} part {part} needs "
+            f"vacuumed file(s) {missing}; earliest readable anchor "
+            f"is earliest_snapshot(...)")
+    return live
+
+
+def _raise_if_interior_anchor(table: str, part: int, before: int,
+                              live: list, commits: list,
+                              truncs: list) -> None:
     """A partition whose live set at the anchor is STALE (its newest
     live commit ends below the anchor — or is empty) while a commit
     SPANS the anchor holds the anchor's events only inside that coarser
@@ -1187,15 +1213,16 @@ def _raise_if_interior_anchor(lake: LakeState, table: str, part: int,
     as a vacuumed snapshot.  Conservative by design: a quiet partition
     whose events genuinely stop below the anchor raises only when a
     spanning commit makes its quietness unprovable from metadata.
-    ``live`` MUST be the caller's ``live_commits(table, part, before)``
-    for the SAME ``before`` — the staleness check is meaningless
-    against a list filtered at a different anchor."""
+    Lists nothing itself: ``commits`` and ``truncs`` are the caller's
+    raw partition listing and the table's TRUNCATE seqs, and ``live``
+    MUST be ``live_window(commits, truncs, before)`` for the SAME
+    ``before`` — the staleness check is meaningless against a list
+    filtered at a different anchor."""
     S = before - 1
     if live and int(live[-1]["seq_hi"]) >= S:
         return  # the anchor state is materialized in the live set
-    truncs = [t0 for t0 in lake.truncate_seqs(table) if t0 < before]
-    tmax = max(truncs) if truncs else None
-    for c in lake._list_commits_raw(table, part):
+    tmax = max((t0 for t0 in truncs if t0 < before), default=None)
+    for c in commits:
         if tmax is not None and c["seq_hi"] < tmax:
             continue
         if c["seq_lo"] < S < c["seq_hi"]:
@@ -1232,36 +1259,119 @@ def _raise_if_below_floor(lake: LakeState, table: str,
 def earliest_snapshot(lake_root: str, table: str,
                       generation: int = 0) -> int | None:
     """Oldest ``asof_seq`` anchor whose files all still exist for
-    ``table`` (None = no readable snapshot).  Driver-side tooling:
+    ``table`` (None = no readable snapshot): the first anchor every
+    partition passes the as-of gate at.  Driver-side tooling:
     O(anchors × partitions) metadata lookups, no data reads."""
     lake = LakeState(lake_root, generation)
-    pdirs = sorted(glob.glob(os.path.join(lake.table_dir(table), "part=*")))
-    pstate = []
-    for d in pdirs:
-        p = int(os.path.basename(d).split("=")[1])
-        on_disk = {f for f in os.listdir(d) if f.endswith(".parquet")}
-        pstate.append((p, on_disk))
+    parts = lake.partitions(table)
     floor = _snapshot_floor(lake, table)
     for s in snapshots(lake_root, generation):
         if 0 < s < floor:
             continue  # below the reshard/retention floor: expired
-        ok = True
-        for p, on_disk in pstate:
-            live = lake.live_commits(table, p, s + 1)
-            try:
-                _raise_if_interior_anchor(lake, table, p, s + 1, live)
-            except SnapshotExpiredError:
-                ok = False
-                break
-            if any(c["file"] not in on_disk for c in live):
-                ok = False
-                break
-        if ok:
-            return s
+        try:
+            for p in parts:
+                _live_parts_asof_one(lake, table, p, s + 1)
+        except SnapshotExpiredError:
+            continue
+        return s
     return None
 
 
 # ------------------------------------------------------------------ reads
+def _read_scope(lake_root: str, table: str, generation: int,
+                asof_seq: int | None, columns: list[str] | None):
+    """The preamble every table read shares: ``(lake, before, schema)``.
+    An ``asof_seq`` must be a committed anchor at or above the table's
+    snapshot floor (``before`` = anchor + 1; None for a head read);
+    ``schema`` is the one effective there, projected to ``columns`` plus
+    the keys, and None when the table exists now but not yet at the
+    anchor.  Raises KeyError for a table unknown now or an unknown
+    column."""
+    lake = LakeState(lake_root, generation)
+    before = None
+    if asof_seq is not None:
+        before = _anchor_or_raise(lake_root, asof_seq, generation) + 1
+        _raise_if_below_floor(lake, table, asof_seq)
+    schema = _schema_asof(lake, table, asof_seq)
+    if schema is None:
+        if asof_seq is None or lake.current_schema(table) is None:
+            raise KeyError(f"unknown table {table!r}")
+        return lake, before, None
+    if columns is not None:
+        unknown = [c for c in columns if c not in schema.column_names()]
+        if unknown:
+            raise KeyError(f"unknown columns {unknown!r}")
+        wanted = set(columns) | set(schema.keys)
+        schema = dataclasses.replace(
+            schema, fields=[(n, c) for n, c in schema.fields if n in wanted])
+    return lake, before, schema
+
+
+def _phys_cols(gmeta: dict | None, cols: list[str], extra=()) -> list | None:
+    """Physical columns of a payload-pruned merge-on-read: ``cols`` plus
+    the version columns the LWW merge needs (sort-key width from the
+    generation meta; None — no meta — disables pruning)."""
+    if gmeta is None:
+        return None
+    n_sk = int(gmeta.get("sort_key_components", 2))
+    return list(dict.fromkeys([
+        *cols, "__seq", "__src_ts", *[f"__sk{i}" for i in range(n_sk)],
+        "__deleted", *extra]))
+
+
+def _route_keys(lake: LakeState, schema: TableSchema, keys: list):
+    """Route point-lookup ``keys`` (scalars for a single-component key,
+    tuples for composite keys) with the engine's own partitioner
+    (``stable_hash_cols % num_partitions`` from the generation meta —
+    exact, not probabilistic).  Returns ``(gmeta, parts, keep)``: the
+    generation meta, the ascending partition ids the keys map to, and
+    ``keep(t)``, which filters a table to exactly those keys' rows."""
+    import numpy as np
+
+    from deltaray.transforms import HASH_VERSION, stable_hash_cols
+
+    gmeta = _gen_meta(lake, required=True)
+    if gmeta.get("hash_version") != HASH_VERSION:
+        raise ValueError(
+            f"lake written under partitioner hash_version="
+            f"{gmeta.get('hash_version')} but this engine routes with "
+            f"{HASH_VERSION}; point lookups would mis-route — migrate via "
+            f"reshard_generation (reads partitions raw, re-routes with the "
+            f"current hash)")
+    key_cols = list(schema.keys)
+    rows = [k if isinstance(k, tuple) else (k,) for k in keys]
+    if any(len(r) != len(key_cols) for r in rows):
+        raise ValueError(f"key arity mismatch: table key is {key_cols}")
+    arrow = schema.arrow_schema()
+    ktbl = pa.table({c: pa.array([r[i] for r in rows], arrow.field(c).type)
+                     for i, c in enumerate(key_cols)})
+    parts = np.unique(stable_hash_cols(ktbl, key_cols)
+                      % np.uint64(int(gmeta["num_partitions"]))).tolist()
+    if len(key_cols) == 1:
+        def keep(t: pa.Table) -> pa.Table:
+            return t.filter(pc.is_in(t[key_cols[0]],
+                                     value_set=ktbl[key_cols[0]]))
+        return gmeta, parts, keep
+    # composite: unique key rows (a duplicated lookup key must not
+    # duplicate result rows) + their sorted stable hashes
+    kt_unique = ktbl.group_by(key_cols).aggregate([])
+    key_hashes = np.sort(np.unique(stable_hash_cols(kt_unique, key_cols)))
+
+    def keep(t: pa.Table) -> pa.Table:
+        # vectorized stable-hash prefilter, then exact verification via
+        # an Arrow semi-join on the key columns (kt_unique carries ONLY
+        # the keys, so the inner join adds no columns) — Arrow-native,
+        # no pandas in the serving path
+        h_t = stable_hash_cols(t, key_cols)
+        pos = np.searchsorted(key_hashes, h_t)
+        pos[pos == len(key_hashes)] = 0
+        t = t.filter(pa.array(key_hashes[pos] == h_t))
+        if t.num_rows:
+            t = t.join(kt_unique, keys=key_cols, join_type="inner")
+        return t
+    return gmeta, parts, keep
+
+
 def read_table(lake_root: str, table: str, generation: int = 0,
                with_previous: bool = False,
                asof_seq: int | None = None) -> pa.Table:
@@ -1278,19 +1388,12 @@ def read_table(lake_root: str, table: str, generation: int = 0,
     columns.  Raises :class:`SnapshotExpiredError` when compaction +
     vacuum already deleted the needed files (retention is physical;
     replay with ``vacuum=False`` to keep full history)."""
-    lake = LakeState(lake_root, generation)
-    before = None
-    if asof_seq is not None:
-        before = _anchor_or_raise(lake_root, asof_seq, generation) + 1
-        _raise_if_below_floor(lake, table, asof_seq)
-    schema = _schema_asof(lake, table, asof_seq)
+    lake, before, schema = _read_scope(lake_root, table, generation,
+                                       asof_seq, None)
     if schema is None:
-        if asof_seq is not None and lake.current_schema(table) is not None:
-            # table exists now but not yet at asof_seq → empty, typed by
-            # its FIRST schema (the closest honest answer pre-creation)
-            first = lake.schemas_for(table)[0]
-            return first.arrow_schema().empty_table()
-        raise KeyError(f"unknown table {table!r}")
+        # table exists now but not yet at asof_seq → empty, typed by its
+        # FIRST schema (the closest honest answer pre-creation)
+        return lake.schemas_for(table)[0].arrow_schema().empty_table()
     out_schema = schema.arrow_schema()
     if with_previous:
         out_schema = out_schema.append(pa.field("prev_tokens",
@@ -1325,98 +1428,32 @@ def read_rows(lake_root: str, table: str, keys: list, generation: int = 0,
     (``stable_hash_cols % num_partitions`` from the generation meta), so
     it is exact, not probabilistic.  Driver-side by design: lookups are
     small; use ``read_table_ds`` for scans."""
-    import numpy as np
-
-    from deltaray.transforms import stable_hash_cols
-
-    lake = LakeState(lake_root, generation)
-    before = None
-    if asof_seq is not None:
-        before = _anchor_or_raise(lake_root, asof_seq, generation) + 1
-        _raise_if_below_floor(lake, table, asof_seq)
-    schema = _schema_asof(lake, table, asof_seq)
+    lake, before, schema = _read_scope(lake_root, table, generation,
+                                       asof_seq, columns)
     if schema is None:
-        if asof_seq is not None and lake.current_schema(table) is not None:
-            # table exists now but not yet at asof_seq — match
-            # read_table/read_table_ds: typed empty, not an error
-            first = lake.schemas_for(table)[0]
-            return first.arrow_schema().empty_table()
-        raise KeyError(f"unknown table {table!r}")
-    out_schema = schema.arrow_schema()
+        return lake.schemas_for(table)[0].arrow_schema().empty_table()
     key_cols = list(schema.keys)
+    want = (schema.column_names() if columns is None
+            else list(dict.fromkeys([*key_cols, *columns])))
+    out_schema = pa.schema([schema.arrow_schema().field(c) for c in want])
     if not keys or _dropped_asof(lake, table, asof_seq):
-        return (out_schema.empty_table() if columns is None
-                else out_schema.empty_table().select(
-                    list(dict.fromkeys([*key_cols, *columns]))))
-    gmeta = _gen_meta(lake, required=True)
-    num_partitions = int(gmeta["num_partitions"])
-    phys = None
-    if columns is not None:
-        # prune the payload at the parquet read, like read_table_ds —
-        # this is the latency-sensitive serving path
-        n_sk = int(gmeta.get("sort_key_components", 2))
-        phys = list(dict.fromkeys([
-            *key_cols, *columns, "__seq", "__src_ts",
-            *[f"__sk{i}" for i in range(n_sk)], "__deleted",
-        ]))
-    from deltaray.transforms import HASH_VERSION
-
-    if gmeta.get("hash_version") != HASH_VERSION:
-        raise ValueError(
-            f"lake written under partitioner hash_version="
-            f"{gmeta.get('hash_version')} but this engine routes with "
-            f"{HASH_VERSION}; point lookups would mis-route — migrate via "
-            f"reshard_generation (reads partitions raw, re-routes with the "
-            f"current hash)")
-    rows = [k if isinstance(k, tuple) else (k,) for k in keys]
-    if any(len(r) != len(key_cols) for r in rows):
-        raise ValueError(f"key arity mismatch: table key is {key_cols}")
-    ktbl = pa.table({c: pa.array([r[i] for r in rows],
-                                 out_schema.field(c).type)
-                     for i, c in enumerate(key_cols)})
-    parts = np.unique(stable_hash_cols(ktbl, key_cols)
-                      % np.uint64(num_partitions)).tolist()
-    # composite-key membership state: unique key rows (a duplicated
-    # lookup key must not duplicate result rows) + their sorted stable
-    # hashes for the vectorized prefilter
-    kt_unique = ktbl.group_by(key_cols).aggregate([])
-    key_hashes = np.sort(np.unique(stable_hash_cols(kt_unique, key_cols)))
-    want = None
-    if columns is not None:
-        unknown = [c for c in columns if c not in schema.column_names()]
-        if unknown:
-            raise KeyError(f"unknown columns {unknown!r}")
-        want = list(dict.fromkeys([*key_cols, *columns]))
-        out_schema = pa.schema([out_schema.field(c) for c in want])
+        return out_schema.empty_table()
+    gmeta, parts, keep = _route_keys(lake, schema, keys)
+    # prune the payload at the parquet read, like read_table_ds — this
+    # is the latency-sensitive serving path
+    phys = None if columns is None else _phys_cols(gmeta,
+                                                   schema.column_names())
     out = []
-    on_disk = {int(os.path.basename(d).split("=")[1])
-               for d in glob.glob(os.path.join(lake.table_dir(table),
-                                               "part=*"))}
     for p in parts:
-        if p not in on_disk:
-            continue
         if before is not None:
-            _live_parts_asof_one(lake, table, int(p), before)
-        tbl, _ = lake.read_partition(table, int(p), before_seq=before,
+            _live_parts_asof_one(lake, table, p, before)
+        tbl, _ = lake.read_partition(table, p, before_seq=before,
                                      columns=phys)
         if tbl is None or not tbl.num_rows:
             continue
-        t = strip_internal(evolve_to(tbl, schema))
-        if len(key_cols) == 1:
-            t = t.filter(pc.is_in(t[key_cols[0]], value_set=ktbl[key_cols[0]]))
-        else:
-            # composite: vectorized stable-hash prefilter, then exact
-            # verification via an Arrow semi-join on the key columns
-            # (kt_unique carries ONLY the keys, so the inner join adds
-            # no columns) — Arrow-native, no pandas in the serving path
-            h_t = stable_hash_cols(t, key_cols)
-            pos = np.searchsorted(key_hashes, h_t)
-            pos[pos == len(key_hashes)] = 0
-            t = t.filter(pa.array(key_hashes[pos] == h_t))
-            if t.num_rows:
-                t = t.join(kt_unique, keys=key_cols, join_type="inner")
+        t = keep(strip_internal(evolve_to(tbl, schema)))
         if t.num_rows:
-            out.append(t.select(want) if want else t.select(out_schema.names))
+            out.append(t.select(want))
     if not out:
         return out_schema.empty_table()
     res = pa.concat_tables(out)
@@ -1454,20 +1491,12 @@ def read_history(lake_root: str, table: str, keys: list,
     import numpy as np
 
     from deltaray.functions.partition import group_codes
-    from deltaray.merge import evolve_to
-    from deltaray.transforms import HASH_VERSION, stable_hash_cols
 
-    lake = LakeState(lake_root, generation)
-    schema = lake.current_schema(table)
-    if schema is None:
-        raise KeyError(f"unknown table {table!r}")
+    lake, _, schema = _read_scope(lake_root, table, generation, None,
+                                  columns)
     key_cols = list(schema.keys)
-    out_cols = schema.column_names()
-    if columns is not None:
-        unknown = [c for c in columns if c not in out_cols]
-        if unknown:
-            raise KeyError(f"unknown columns {unknown!r}")
-        out_cols = list(dict.fromkeys([*key_cols, *columns]))
+    out_cols = (schema.column_names() if columns is None
+                else list(dict.fromkeys([*key_cols, *columns])))
     out_schema = pa.schema(
         [schema.arrow_schema().field(c) for c in out_cols]
         + [pa.field("seq", pa.int64()), pa.field("change", pa.string()),
@@ -1475,42 +1504,14 @@ def read_history(lake_root: str, table: str, keys: list,
            pa.field("is_current", pa.bool_())])
     if not keys:
         return out_schema.empty_table()
-    gmeta = _gen_meta(lake, required=True)
-    if gmeta.get("hash_version") != HASH_VERSION:
-        raise ValueError(
-            f"lake written under partitioner hash_version="
-            f"{gmeta.get('hash_version')}; this engine routes with "
-            f"{HASH_VERSION} — migrate via reshard_generation")
-    num_partitions = int(gmeta["num_partitions"])
-    rows = [k if isinstance(k, tuple) else (k,) for k in keys]
-    if any(len(r) != len(key_cols) for r in rows):
-        raise ValueError(f"key arity mismatch: table key is {key_cols}")
-    ktbl = pa.table({c: pa.array([r[i] for r in rows],
-                                 schema.arrow_schema().field(c).type)
-                     for i, c in enumerate(key_cols)})
-    kt_unique = ktbl.group_by(key_cols).aggregate([])
-    key_hashes = np.sort(np.unique(stable_hash_cols(kt_unique, key_cols)))
-    parts = np.unique(stable_hash_cols(ktbl, key_cols)
-                      % np.uint64(num_partitions)).tolist()
+    _, parts, keep = _route_keys(lake, schema, keys)
     keep_cols = [*out_cols, "__seq", "__deleted"]
     collected = []
     for p in parts:
-        pdir = lake.part_dir(table, int(p))
-        if not os.path.isdir(pdir):
-            continue
-        for c in lake.live_commits(table, int(p)):
-            t = pq.read_table(os.path.join(pdir, c["file"]))
-            t = evolve_to(t, schema)
-            if len(key_cols) == 1:
-                t = t.filter(pc.is_in(t[key_cols[0]],
-                                      value_set=ktbl[key_cols[0]]))
-            else:
-                h_t = stable_hash_cols(t, key_cols)
-                pos = np.searchsorted(key_hashes, h_t)
-                pos[pos == len(key_hashes)] = 0
-                t = t.filter(pa.array(key_hashes[pos] == h_t))
-                if t.num_rows:
-                    t = t.join(kt_unique, keys=key_cols, join_type="inner")
+        pdir = lake.part_dir(table, p)
+        for c in lake.live_commits(table, p):
+            t = keep(evolve_to(pq.read_table(os.path.join(pdir, c["file"])),
+                               schema))
             if t.num_rows:
                 collected.append(t.select(keep_cols))
     if not collected:
@@ -1545,39 +1546,15 @@ def read_history(lake_root: str, table: str, keys: list,
     return out
 
 
-def _live_parts_asof_one(lake: LakeState, table: str, part: int,
-                         before: int | None) -> list[dict]:
-    """One partition's live commits as of ``before``.  For an as-of read
-    (``before`` set) this is the vacuum-retention gate: it raises when
-    the anchor is interior to a coarser commit or a live file has been
-    vacuumed."""
-    live = lake.live_commits(table, part, before)
-    if before is None:
-        return live
-    _raise_if_interior_anchor(lake, table, part, before, live)
-    d = lake.part_dir(table, part)
-    missing = [c["file"] for c in live
-               if not os.path.exists(os.path.join(d, c["file"]))]
-    if missing:
-        raise SnapshotExpiredError(
-            f"snapshot seq<{before} of {table!r} part {part} needs "
-            f"vacuumed file(s) {missing}; earliest readable anchor "
-            f"is earliest_snapshot(...)")
-    return live
-
-
 def current_data_files(lake_root: str, table: str, generation: int = 0) -> list[str]:
     """RAW live data files (last base + deltas per partition).  NOTE:
     with delta commits a key may appear in several of these files — use
     ``read_table_ds`` (which LWW-reduces per partition) for row-correct
     reads; this listing serves size accounting and vacuum-style tooling."""
     lake = LakeState(lake_root, generation)
-    files = []
-    for d in sorted(glob.glob(os.path.join(lake.table_dir(table), "part=*"))):
-        part = int(os.path.basename(d).split("=")[1])
-        for c in lake.live_commits(table, part):
-            files.append(os.path.join(d, c["file"]))
-    return files
+    return [os.path.join(lake.part_dir(table, p), c["file"])
+            for p in lake.partitions(table)
+            for c in lake.live_commits(table, p)]
 
 
 _PRED_OPS = {"==": pc.equal, "<": pc.less, "<=": pc.less_equal,
@@ -1628,27 +1605,11 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
     "parts_pruned"} totals."""
     import ray.data
 
-    lake = LakeState(lake_root, generation)
-    before = None
-    if asof_seq is not None:
-        before = _anchor_or_raise(lake_root, asof_seq, generation) + 1
-        _raise_if_below_floor(lake, table, asof_seq)
-    schema = _schema_asof(lake, table, asof_seq)
+    lake, before, schema = _read_scope(lake_root, table, generation,
+                                       asof_seq, columns)
     if schema is None:
-        if asof_seq is not None and lake.current_schema(table) is not None:
-            first = lake.schemas_for(table)[0]
-            return ray.data.from_arrow(first.arrow_schema().empty_table())
-        raise KeyError(f"unknown table {table!r}")
-    if columns is not None:
-        unknown = [c for c in columns if c not in schema.column_names()]
-        if unknown:
-            raise KeyError(f"unknown columns {unknown!r}")
-        schema = TableSchema(
-            schema.name, schema.key,
-            [(n, c) for n, c in schema.fields
-             if n in set(columns) | set(schema.keys)],
-            dict(schema.renames), schema.version_seq,
-            dict(schema.epochs), dict(schema.tombstones))
+        return ray.data.from_arrow(
+            lake.schemas_for(table)[0].arrow_schema().empty_table())
     out_schema = schema.arrow_schema()
     if with_previous:
         out_schema = out_schema.append(pa.field("prev_tokens",
@@ -1663,20 +1624,11 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
     # sort-key width all come from it)
     gmeta0 = _gen_meta(lake)
     # physical columns for the pruned read: payload + key + version cols
-    # (width from generation meta; None disables pruning)
     phys = None
     if columns is not None:
-        if gmeta0 is not None:
-            gmeta = gmeta0
-            n_sk = int(gmeta.get("sort_key_components", 2))
-            phys = list(dict.fromkeys([
-                *schema.column_names(),
-                "__seq", "__src_ts",
-                *[f"__sk{i}" for i in range(n_sk)],
-                "__deleted",
-                *(["__prev_tokens"]
-                  if gmeta.get("track_previous") and with_previous else []),
-            ]))
+        phys = _phys_cols(gmeta0, schema.column_names(), ["__prev_tokens"]
+                          if (gmeta0 or {}).get("track_previous")
+                          and with_previous else [])
 
     conjuncts = None   # [(col, op, lit), ...] — AND semantics
     intervals = None   # [(col, lo, hi), ...] matching conjuncts
@@ -1940,9 +1892,7 @@ def expire_snapshots(lake_root: str, table: str, retain_since_seq: int,
     retain = int(retain_since_seq)
     if retain != 0:
         retain = _anchor_or_raise(lake_root, retain, generation)
-    parts = sorted(
-        int(os.path.basename(d).split("=")[1])
-        for d in glob.glob(os.path.join(lake.table_dir(table), "part=*")))
+    parts = lake.partitions(table)
     removed_files = 0
     removed_bytes = 0
 
@@ -2112,9 +2062,10 @@ def read_changes(lake_root: str, table: str, since_seq: int,
     effective there.  This makes incremental pulls REPRODUCIBLE while
     the lake keeps moving: two consumers pulling the same ``(since,
     as_of)`` window get identical feeds regardless of what replayed in
-    between (subject to vacuum retention — expired anchors raise
-    :class:`SnapshotExpiredError`).  ``asof(s1) + changes(s1→s2) ==
-    asof(s2)`` exactly.
+    between (subject to vacuum retention — expired anchors, and anchors
+    interior to a coarser commit, raise :class:`SnapshotExpiredError`
+    through the same gate as every as-of read).  ``asof(s1) +
+    changes(s1→s2) == asof(s2)`` exactly.
 
     ``columns`` prunes the payload at the parquet read (keys + version
     columns always fetched for the LWW merge) — a feed consumer that
@@ -2137,56 +2088,33 @@ def read_changes(lake_root: str, table: str, since_seq: int,
     key the re-created incarnation didn't re-insert."""
     import ray.data
 
-    lake = LakeState(lake_root, generation)
     # the feed's anchor obeys the same retention contract as any as-of
     # read: a since_seq below the snapshot floor raises uniformly, even
     # when this particular expiry happened to delete no file the feed
     # would touch — otherwise the same call works or raises depending
     # on compaction accidents, and consumers can't rely on either.
     # Anchor 0 (the empty pre-history state) stays valid forever.
-    _raise_if_below_floor(lake, table, since_seq)
-    before = None
-    if as_of_seq is not None:
-        as_of_seq = _anchor_or_raise(lake_root, as_of_seq, generation)
-        if as_of_seq < since_seq:
-            raise ValueError(
-                f"as_of_seq={as_of_seq} precedes since_seq={since_seq}")
-        _raise_if_below_floor(lake, table, as_of_seq)
-        before = as_of_seq + 1
-    schema = _schema_asof(lake, table, as_of_seq)
+    _raise_if_below_floor(LakeState(lake_root, generation), table, since_seq)
+    if as_of_seq is not None and int(as_of_seq) < since_seq:
+        raise ValueError(
+            f"as_of_seq={as_of_seq} precedes since_seq={since_seq}")
+    lake, before, schema = _read_scope(lake_root, table, generation,
+                                       as_of_seq, columns)
     if schema is None:
-        raise KeyError(f"unknown table {table!r}"
-                       if lake.current_schema(table) is None else
-                       f"table {table!r} does not exist as of {as_of_seq}")
-    if columns is not None:
-        unknown = [c for c in columns if c not in schema.column_names()]
-        if unknown:
-            raise KeyError(f"unknown columns {unknown!r}")
-        schema = TableSchema(
-            schema.name, schema.key,
-            [(n, c) for n, c in schema.fields
-             if n in set(columns) | set(schema.keys)],
-            dict(schema.renames), schema.version_seq,
-            dict(schema.epochs), dict(schema.tombstones))
+        raise KeyError(f"table {table!r} does not exist as of {as_of_seq}")
     out_schema = schema.arrow_schema() \
         .append(pa.field("change", pa.string())) \
         .append(pa.field("seq", pa.int64()))
-    phys = None
-    if columns is not None:
-        gmeta = _gen_meta(lake)
-        if gmeta is not None:
-            n_sk = int(gmeta.get("sort_key_components", 2))
-            phys = list(dict.fromkeys([
-                *schema.column_names(), "__seq", "__src_ts",
-                *[f"__sk{i}" for i in range(n_sk)], "__deleted",
-            ]))
+    gmeta = _gen_meta(lake)
+    phys = None if columns is None else _phys_cols(gmeta,
+                                                   schema.column_names())
     # ORDERED lakes: version == seq, so files wholly at or below
     # since_seq can never hold a changed key's WINNING row — prune them
     # from the merge-on-read (read amplification drops from base+deltas
     # to just the post-anchor deltas).  UN_ORDERED keeps the full merge
     # (a late arrival may lose to a pruned base row).
     min_hi = None
-    if (_gen_meta(lake) or {}).get("ordering") == "ORDERED":
+    if (gmeta or {}).get("ordering") == "ORDERED":
         min_hi = since_seq
     # TRUNCATE markers inside the pull window wipe keys without per-key
     # tombstones — those keys need synthetic DELETEs (see docstring)
@@ -2199,12 +2127,8 @@ def read_changes(lake_root: str, table: str, since_seq: int,
     # keys + version columns (falls back to full reads on mixed-schema
     # files, like every pruned read)
     anchor_phys = None
-    if trunc_hidden is not None and (_gm := _gen_meta(lake)) is not None:
-        _n_sk = int(_gm.get("sort_key_components", 2))
-        anchor_phys = list(dict.fromkeys([
-            *schema.keys, "__seq", "__src_ts",
-            *[f"__sk{i}" for i in range(_n_sk)], "__deleted",
-        ]))
+    if trunc_hidden is not None:
+        anchor_phys = _phys_cols(gmeta, schema.keys)
     parts = []
     # a table dropped inside the window still owes its consumers the
     # DELETEs for every key live at the anchor: DROP writes a
@@ -2214,39 +2138,17 @@ def read_changes(lake_root: str, table: str, since_seq: int,
     # A table already dropped AT the anchor has trunc_hidden None and
     # correctly yields an empty feed.
     if not _dropped_asof(lake, table, as_of_seq) or trunc_hidden is not None:
-        for d in sorted(glob.glob(os.path.join(lake.table_dir(table),
-                                               "part=*"))):
-            p = int(os.path.basename(d).split("=")[1])
-            live = lake.live_commits(table, p, before)
-            cand = [c for c in live
-                    if min_hi is None or c["seq_hi"] > min_hi]
-            if before is not None:
-                # vacuum-retention gate — but ONLY for files this pull
-                # will actually read: pre-anchor files the ORDERED
-                # pruning skips may legitimately be vacuumed away
-                missing = [c["file"] for c in cand if not os.path.exists(
-                    os.path.join(d, c["file"]))]
-                if missing:
-                    raise SnapshotExpiredError(
-                        f"bounded feed as_of<{before} of {table!r} part "
-                        f"{p} needs vacuumed file(s) {missing}")
+        for p in lake.partitions(table):
+            # the as-of gate checks only the files this pull will read:
+            # pre-anchor files the ORDERED pruning skips may
+            # legitimately be vacuumed away
+            live = _live_parts_asof_one(lake, table, p, before, min_hi)
             touched = any(since_seq < c["seq_hi"] for c in live)
-            if trunc_hidden is not None:
-                pre_live = lake.live_commits(table, p, since_seq + 1)
-                if pre_live:
-                    # the since-anchor state will actually be read:
-                    # gate on its files' physical retention
-                    missing = [c["file"] for c in pre_live
-                               if not os.path.exists(
-                                   os.path.join(d, c["file"]))]
-                    if missing:
-                        raise SnapshotExpiredError(
-                            f"feed across TRUNCATE(seq={trunc_hidden}) "
-                            f"of {table!r} part {p} needs the anchor "
-                            f"state seq<={since_seq} but file(s) "
-                            f"{missing} were vacuumed; re-anchor at "
-                            f"earliest_snapshot(...) or full-refresh")
-                    touched = True
+            # the since-anchor state will actually be read: the same
+            # gate at since_seq
+            if trunc_hidden is not None and _live_parts_asof_one(
+                    lake, table, p, since_seq + 1):
+                touched = True
             if touched:
                 parts.append(p)
     if not parts:

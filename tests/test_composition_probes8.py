@@ -24,8 +24,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from deltaray import (ReplayConfig, optimize_table, read_changes, read_table,
-                      read_table_ds, replay, replay_oracle,
+from deltaray import (ReplayConfig, optimize_table, read_changes, read_rows,
+                      read_table, read_table_ds, replay, replay_oracle,
                       reshard_generation, snapshots)
 from deltaray.oracle import tables_equal
 from deltaray.gen import write_event_log
@@ -53,6 +53,16 @@ def _overlap_lake(tmp_path, seed=811, n_docs=120, n_events=1800):
                         chunk_max_events=250, vacuum=False))
     cfg = ReplayConfig(event_log=log, lake=lake, num_partitions=4)
     return log, lake, anchor, replay_oracle(cfg)["docs"]
+
+
+def _asof_reads(lake, s):
+    """Every as-of read surface at anchor ``s``: each must pass the same
+    per-partition gate (point lookups route to all partitions here)."""
+    ids = [f"docs-doc{i:08d}" for i in range(100)]
+    return [lambda: read_table(lake, "docs", asof_seq=s),
+            lambda: read_rows(lake, "docs", ids, asof_seq=s),
+            lambda: to_table(read_table_ds(lake, "docs", asof_seq=s)),
+            lambda: to_table(read_changes(lake, "docs", 0, as_of_seq=s))]
 
 
 def test_overlap_lake_reshard(ray_session, tmp_path):
@@ -195,8 +205,9 @@ def test_interior_anchor_raises(ray_session, tmp_path):
     interior = [s for s in snapshots(lake) if s < coarse_anchor]
     assert interior, "expected interior fine markers"
     for s in interior:
-        with pytest.raises(SnapshotExpiredError, match="interior"):
-            read_table(lake, "docs", asof_seq=s)
+        for read in _asof_reads(lake, s):
+            with pytest.raises(SnapshotExpiredError, match="interior"):
+                read()
     # earliest_snapshot skips the interior anchors
     from deltaray.pipeline import earliest_snapshot
     e = earliest_snapshot(lake, "docs")
@@ -246,8 +257,9 @@ def test_interior_anchor_raises_multichunk_coarse(ray_session, tmp_path):
     interior = [s for s in snapshots(lake) if s < B and s not in (A, B)]
     assert any(A < s < B for s in interior), interior
     for s in interior:
-        with pytest.raises(SnapshotExpiredError, match="interior"):
-            read_table(lake, "docs", asof_seq=s)
+        for read in _asof_reads(lake, s):
+            with pytest.raises(SnapshotExpiredError, match="interior"):
+                read()
 
 
 def test_retention_gate_lagging_partition(ray_session, tmp_path):

@@ -220,6 +220,36 @@ def test_read_rows_point_lookups(ray_session, tmp_log, tmp_lake):
         read_rows(tmp_lake, "docs", [("a", 1)])
 
 
+def test_point_lookup_lists_each_partition_once(ray_session, tmp_log,
+                                                tmp_lake, monkeypatch):
+    """The as-of gate and read_partition share listings instead of
+    re-listing: a head point lookup lists each routed partition's commits
+    once, an as-of lookup at most twice (the gate, then the read)."""
+    from collections import Counter
+
+    from deltaray import read_rows
+    from deltaray.commit import LakeState
+
+    write_event_log(tmp_log, n_docs=80, n_events=900, seed=19,
+                    segment_max_events=300)
+    replay(ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=4,
+                        chunk_max_events=300, vacuum=False))
+    keys = read_table(tmp_lake, "docs")["doc_id"].to_pylist()[:10]
+    calls = []
+    raw = LakeState._list_commits_raw
+
+    def spy(self, table, part):
+        calls.append(part)
+        return raw(self, table, part)
+
+    monkeypatch.setattr(LakeState, "_list_commits_raw", spy)
+    assert read_rows(tmp_lake, "docs", keys).num_rows == len(keys)
+    assert calls and max(Counter(calls).values()) == 1, Counter(calls)
+    calls.clear()
+    read_rows(tmp_lake, "docs", keys, asof_seq=snapshots(tmp_lake)[-2])
+    assert calls and max(Counter(calls).values()) <= 2, Counter(calls)
+
+
 def test_read_rows_composite_keys(ray_session, tmp_log, tmp_lake):
     from deltaray import read_rows
     from tests.test_composite_keys import PAIRS, _write_composite_log
