@@ -187,7 +187,8 @@ def validate_lake(lake_root: str, generation: int = 0,
       - per-partition commit seq ranges are strictly ascending
         (overlap warns: legitimate for re-segmented re-replays, which
         are LWW-idempotent, but worth eyes);
-      - lineage agrees with the commit log (last_seq == committed_hi);
+      - lineage agrees with the commit log (its last_seq and file are
+        the latest commit's);
       - generation meta present with a matching hash_version and
         partition ids within num_partitions;
       - orphan data files (unreferenced by any commit = safe vacuum
@@ -303,13 +304,17 @@ def validate_lake(lake_root: str, generation: int = 0,
                 info["bytes_orphan"] += os.path.getsize(
                     os.path.join(d, f))
             lin = lake.read_lineage(t, p)
-            hi = lake.committed_hi(t, p)
+            hi = int(commits[-1]["seq_hi"]) if commits else 0
             if lin is None and commits:
                 warnings.append(f"{t}/part={p}: no lineage record")
             elif lin is not None and int(lin.get("last_seq", -1)) != hi:
                 errors.append(
                     f"{t}/part={p}: lineage last_seq "
                     f"{lin.get('last_seq')} != committed_hi {hi}")
+            elif commits and lin.get("file") != commits[-1]["file"]:
+                errors.append(
+                    f"{t}/part={p}: lineage file {lin.get('file')} != "
+                    f"latest commit's {commits[-1]['file']}")
         if info["orphan_files"]:
             warnings.append(
                 f"{t}: {info['orphan_files']} orphan file(s), "

@@ -14,6 +14,8 @@ Layout (resumable output, one directory per hash partition):
           _schema/schema-<seq12>.json      # TableSchema after each DDL
           _truncate/trunc-<seq12>.json     # TRUNCATE_TABLE markers
           _commits/part=<K5>/commit-<lo12>-<hi12>.json
+          _commits/part=<K5>/commit-<hi12>-<hi12>opt.json
+                                           # OPTIMIZE's clustered base
           _commits/part=<K5>/manifest-<hi12>-<count>-<digest>.json
                                            # rolled-up commit records —
                                            # bounds per-read file opens
@@ -24,7 +26,9 @@ Layout (resumable output, one directory per hash partition):
           part=<K5>/data-<hi12>-<lo12>.parquet  # COW snapshot (commit range
                                            # in the name; legacy hi-only
                                            # names resolve via the record)
-      _lineage/...                          # per-partition lineage records
+          part=<K5>/data-<hi12>-opt.parquet     # OPTIMIZE's data file
+        _lineage/<table>/part=<K5>.json    # per-partition lineage record,
+                                           # rewritten after EVERY commit
 
 Exactly-once contract (EventConsumer.java:39-76 analog): the data file is
 written (temp + atomic rename, deterministic name) BEFORE its commit
@@ -32,6 +36,10 @@ record; a commit record is write-once; any retried merge that finds its
 commit record is a no-op.  The commit unit is (partition, seq_range) —
 the Ray translation of the (offset, sequenceNumber) checkpoint
 (OffsetAndSequence.java:26-41, DeltaTargetContext.commitOffset:44-58).
+Every writer — replay's merge, bootstrap, reshard and OPTIMIZE — commits
+through ``merge.commit_partition``, which rewrites the partition's
+lineage record right after each commit (fsck checks that it names the
+latest one).
 
 ``generation`` isolates recreated pipelines (DeltaWorker.java:140-150).
 """
@@ -326,28 +334,29 @@ class LakeState:
         return os.path.join(self.table_dir(table), f"part={part:05d}")
 
     def data_path(self, table: str, part: int, seq_hi: int,
-                  seq_lo: int = 0) -> str:
+                  seq_lo: int = 0, tag: str = "") -> str:
         """Data file for the commit covering ``(seq_lo, seq_hi]``.  The
         name carries BOTH bounds: commits from a RE-SEGMENTED replay of
         the same events overlap the original ranges rather than equal
         them, and a hi-only name would let such a delta silently
         overwrite a live base file sharing its high-water mark (the
         as-of and head reads would then serve the delta's rows as the
-        full state).  ``hi`` stays the FIRST digit run — the vacuum /
+        full state).  A ``tag`` (OPTIMIZE's ``opt``) replaces the low
+        bound.  ``hi`` stays the FIRST digit run — the vacuum /
         retention filename gates parse it.  Readers always go through
         the commit record's ``file`` field, so pre-existing hi-only
         names keep working."""
         return os.path.join(
             self.part_dir(table, part),
-            f"data-{_seq12(seq_hi)}-{_seq12(seq_lo)}.parquet")
+            f"data-{_seq12(seq_hi)}-{tag or _seq12(seq_lo)}.parquet")
 
     def commit_dir(self, table: str, part: int) -> str:
         return os.path.join(self.table_dir(table), "_commits", f"part={part:05d}")
 
-    def commit_path(self, table: str, part: int, lo: int, hi: int) -> str:
-        return os.path.join(
-            self.commit_dir(table, part), f"commit-{_seq12(lo)}-{_seq12(hi)}.json"
-        )
+    def commit_path(self, table: str, part: int, lo: int, hi: int,
+                    tag: str = "") -> str:
+        return os.path.join(self.commit_dir(table, part),
+                            f"commit-{_seq12(lo)}-{_seq12(hi)}{tag}.json")
 
     def chunk_marker(self, lo: int, hi: int) -> str:
         return os.path.join(
@@ -678,6 +687,7 @@ class LakeState:
         row_group_rows: int | None = None,
         clustered_by=None,
         manifest_every: int = 0,
+        tag: str = "",
     ) -> dict:
         """Write the data file then the write-once commit record.
         ``kind``: "base" = the file holds the partition's full state;
@@ -687,6 +697,10 @@ class LakeState:
         ``clustered_by``: set by cluster-on-write base compactions (the
         caller sorted ``data_tbl``) — small row groups make the parquet
         stats prunable and the commit record advertises the layout.
+        ``tag`` suffixes the commit name and replaces the low bound in
+        the data-file name: OPTIMIZE's ``opt`` base at ``(hi, hi]`` is
+        distinct from — and sorts AFTER — a chunk commit ending at the
+        same ``hi``, so it becomes the partition's last base.
 
         Idempotent: if the commit record already exists the merge was
         already applied (a Ray task retry or a resumed run) — return the
@@ -694,14 +708,14 @@ class LakeState:
         (clear-on-restart semantics, MetricsHandler.java:117-133,
         DeltaPipelineStateStoreBaseTest.java:388-392).
         """
-        cpath = self.commit_path(table, part, lo, hi)
+        cpath = self.commit_path(table, part, lo, hi, tag)
         # write-once check spans loose files AND manifests: after a
         # rollup the record file is gone but the commit still happened
         rec = self.commit_record(table, part, os.path.basename(cpath))
         if rec is not None:
             rec["replayed"] = True
             return rec
-        dpath = self.data_path(table, part, hi, lo)
+        dpath = self.data_path(table, part, hi, lo, tag)
         atomic_write_parquet(dpath, data_tbl, row_group_size=row_group_rows)
         rec = {
             "table": table,
@@ -722,48 +736,6 @@ class LakeState:
         atomic_write_json(cpath, rec)
         if manifest_every:
             self.compact_manifests(table, part, manifest_every)
-        return rec
-
-    def commit_optimize(self, table: str, part: int, tbl: pa.Table,
-                        hi: int, cluster_by: str,
-                        row_group_rows: int = 32768) -> dict:
-        """Write a CLUSTERED full-state base commit at the partition's
-        current high-water mark ``hi`` (the OPTIMIZE/ZORDER write path —
-        see :func:`deltaray.pipeline.optimize_table`).  ``tbl`` must be
-        the partition's complete merged state (internal columns and
-        embedded schema included), already sorted by ``cluster_by``;
-        ``row_group_rows`` bounds parquet row-group size so the sorted
-        file carries fine-grained min/max statistics for row-group
-        pruning.  The commit filename carries an ``opt`` tag so it is
-        distinct from — and sorts AFTER — a chunk commit with the same
-        (lo, hi) range, making it the partition's last base.  Write-once
-        idempotent like :meth:`try_commit`: re-running OPTIMIZE at an
-        unchanged watermark is a no-op."""
-        cpath = os.path.join(self.commit_dir(table, part),
-                             f"commit-{_seq12(hi)}-{_seq12(hi)}opt.json")
-        rec = self.commit_record(table, part, os.path.basename(cpath))
-        if rec is not None:
-            rec["replayed"] = True
-            return rec
-        fname = f"data-{_seq12(hi)}-opt.parquet"
-        atomic_write_parquet(os.path.join(self.part_dir(table, part), fname),
-                             tbl, row_group_size=row_group_rows)
-        rec = {
-            "table": table,
-            "part": int(part),
-            "seq_lo": int(hi),
-            "seq_hi": int(hi),
-            "file": fname,
-            "kind": "base",
-            "rows": int(tbl.num_rows),
-            "state_rows": int(tbl.num_rows),
-            "counts": {"inserts": 0, "updates": 0, "deletes": 0,
-                       "bytes_in": 0, "late_events": 0},
-            "stats": column_stats(tbl),
-            "clustered_by": cluster_by,
-            "replayed": False,
-        }
-        atomic_write_json(cpath, rec)
         return rec
 
     # -------------------------------------------------------------- reads

@@ -89,7 +89,7 @@ def _pin_meta(index_root: str, meta: dict) -> None:
     fail fast when it is reopened with different ones — a partitioning
     or coefficient change silently mis-routes every membership probe
     (same contract as the engine's generation `_meta.json`,
-    pipeline._check_generation_meta)."""
+    ``deltaray.pipeline._check_generation_meta(lake, cfg)``)."""
     mpath = os.path.join(index_root, "_meta.json")
     if os.path.exists(mpath):
         with open(mpath) as f:

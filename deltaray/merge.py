@@ -34,6 +34,7 @@ import pyarrow.compute as pc
 from deltaray.commit import SCHEMA_META_KEY, LakeState
 from deltaray.schemas import TableSchema, code_to_type
 from deltaray.transforms import lww_reduce, version_col_names
+from deltaray.util import cluster_sort
 
 # A merge task holds one partition's full state in memory; past this row
 # count the lake needs more num_partitions (re-shard into a new
@@ -232,6 +233,68 @@ def _slim_partition_state(lake: LakeState, table: str, part: int,
     return lww_reduce(t, schema.keys)
 
 
+def commit_partition(lake: LakeState, table: str, part: int, lo: int,
+                     hi: int, data: pa.Table, counts: dict, *,
+                     schema: TableSchema | None = None, kind: str = "base",
+                     state: str | None = None, state_rows: int | None = None,
+                     cluster_by=None, row_group_rows: int = 32768,
+                     manifest_every: int = 0, vacuum: bool = False,
+                     tag: str = "") -> dict:
+    """The one partition-commit tail every writer shares — replay's
+    merge, bootstrap, reshard and OPTIMIZE (DeltaTargetContext.
+    commitOffset:44-58 analog: apply, then checkpoint and state record).
+
+    Stamps ``schema`` into ``data`` (None keeps the embedded one),
+    clusters a ``kind="base"`` file on ``cluster_by`` (deltas stay
+    unsorted: cheap, and always fully read anyway), writes the data
+    file and write-once commit record (:meth:`LakeState.try_commit`;
+    ``tag`` names OPTIMIZE's ``opt`` commit), optionally vacuums the
+    superseded files (listed in the returned record's ``vacuumed``),
+    then rewrites the partition's lineage record so it names this
+    commit.  ``state`` None keeps the previous lineage state.  Returns
+    the commit record (``replayed`` when it already existed)."""
+    if schema is not None:
+        data = stamp_schema(data, schema)
+    rg_rows = clustered = None
+    if kind == "base" and cluster_by:
+        # base rewrites keep the partition clustered (linear sort or
+        # Z-order) with small row groups, so predicate reads prune
+        # continuously between optimize_table passes
+        data, present = cluster_sort(data, cluster_by)
+        if present:
+            rg_rows, clustered = row_group_rows, cluster_by
+    rec = lake.try_commit(table, part, lo, hi, data, counts, kind=kind,
+                          state_rows=state_rows, row_group_rows=rg_rows,
+                          clustered_by=clustered,
+                          manifest_every=manifest_every, tag=tag)
+    if vacuum:
+        # superseded COW files are unreachable once this commit exists
+        rec["vacuumed"] = lake.vacuum(table, part)
+    # per-partition event-time watermark: everything at or below this
+    # source_ts for this partition's keys has been applied.  Monotone
+    # across commits: an UN_ORDERED chunk made entirely of late events
+    # must not regress the partition (and hence table-min) watermark.
+    wm = pc.max(data["__src_ts"]).as_py() if data.num_rows else None
+    prev = lake.read_lineage(table, part)
+    if prev is not None:
+        wm = max(int(wm or 0), int(prev.get("watermark_src_ts", 0)))
+        state = state or prev.get("state")
+    rows = int(rec.get("state_rows", rec["rows"]))
+    lineage = {
+        "partition": part,
+        "state": state or "REPLICATING",
+        "last_seq": hi,
+        "watermark_src_ts": int(wm or 0),
+        "file": rec["file"],
+        "rows": rows,
+        "counts": counts,
+    }
+    if rows > PARTITION_ROWS_SOFT_LIMIT:
+        lineage["oversized"] = True
+    lake.write_lineage(table, part, lineage)
+    return rec
+
+
 def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
                   effective_json: dict[str, str], num_partitions: int,
                   vacuum: bool = True, compact_every: int = 8,
@@ -362,21 +425,6 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
                                           schema.keys, stats=ustats)
                 state_rows = mslim.num_rows
             kind = "delta"
-        # partition files are NOT key-sorted (read_table orders at
-        # presentation time) — but with cluster_by set, base rewrites
-        # keep the partition clustered (linear sort or Z-order) with
-        # small row groups, so predicate reads prune continuously
-        # between optimize_table passes; deltas stay unsorted (cheap,
-        # always fully read anyway)
-        merged = stamp_schema(merged, schema)
-        rg_rows = None
-        clustered = None
-        if kind == "base" and cluster_by:
-            from deltaray.util import cluster_sort
-
-            merged, present = cluster_sort(merged, cluster_by)
-            if present:
-                rg_rows, clustered = cluster_row_group_rows, cluster_by
         counts = {
             "inserts": int(n_ins),
             "updates": int(n_upd),
@@ -386,37 +434,15 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
             # replication-lag signal for UN_ORDERED sources)
             "late_events": int(ustats.get("stale_changes", 0)),
         }
-        rec = lake.try_commit(tname, part, chunk_lo, chunk_hi, merged,
-                              counts, kind=kind, state_rows=state_rows,
-                              row_group_rows=rg_rows, clustered_by=clustered,
-                              manifest_every=manifest_every)
-        if vacuum:
-            # superseded COW files are unreachable once this commit exists
-            lake.vacuum(tname, part)
         # table replication phase (PipelineStateService.java:40-127 analog):
         # a batch made only of snapshot events leaves the partition in
         # SNAPSHOTTING; any streaming event promotes it to REPLICATING
         state = "SNAPSHOTTING" if n_snap == (n_ins + n_upd + n_del) else "REPLICATING"
-        # per-partition event-time watermark: everything at or below this
-        # source_ts for this partition's keys has been applied.  Monotone
-        # across chunks: an UN_ORDERED chunk made entirely of late events
-        # must not regress the partition (and hence table-min) watermark.
-        wm = pc.max(changes["__src_ts"]).as_py() if changes.num_rows else None
-        prev_lin = lake.read_lineage(tname, part)
-        if prev_lin is not None:
-            wm = max(int(wm or 0), int(prev_lin.get("watermark_src_ts", 0)))
-        lineage = {
-            "partition": part,
-            "state": state,
-            "last_seq": chunk_hi,
-            "watermark_src_ts": int(wm or 0),
-            "file": rec["file"],
-            "rows": int(rec.get("state_rows", rec["rows"])),
-            "counts": counts,
-        }
-        if rec.get("state_rows", rec["rows"]) > PARTITION_ROWS_SOFT_LIMIT:
-            lineage["oversized"] = True
-        lake.write_lineage(tname, part, lineage)
+        rec = commit_partition(
+            lake, tname, part, chunk_lo, chunk_hi, merged, counts,
+            schema=schema, kind=kind, state=state, state_rows=state_rows,
+            cluster_by=cluster_by, row_group_rows=cluster_row_group_rows,
+            manifest_every=manifest_every, vacuum=vacuum)
         return _lineage_row(rec, skipped=bool(rec.get("replayed")))
 
     return merge

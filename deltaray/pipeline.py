@@ -43,12 +43,15 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from deltaray.commit import (LakeState, atomic_write_json, check_lake_format,
-                             live_window, stats_disjoint_any)
+from deltaray.commit import (LAKE_FORMAT_VERSION, LakeState, atomic_write_json,
+                             check_lake_format, live_window,
+                             stats_disjoint_any)
 from deltaray.config import ReplayConfig
-from deltaray.merge import evolve_to, make_merge_fn, strip_internal
+from deltaray.merge import (commit_partition, evolve_to, make_merge_fn,
+                            strip_internal)
 from deltaray.schemas import DDL_OPS, TableSchema, apply_ddl, code_to_type
-from deltaray.transforms import TransformStage, apply_directives_to_schema
+from deltaray.transforms import (HASH_VERSION, TransformStage,
+                                 apply_directives_to_schema)
 
 
 def _gen_meta(lake: "LakeState", *, required: bool = False) -> dict | None:
@@ -341,6 +344,42 @@ def plan_chunks(
     return chunks
 
 
+def _check_generation_meta(lake: LakeState, cfg: ReplayConfig) -> None:
+    """Persist the physical sharding config on first commit and fail
+    fast on mismatch: re-running replay with a different
+    ``num_partitions`` (or ordering/sort-key width) would re-key
+    hash(key) % P while old per-partition commits remain, silently
+    duplicating keys across partition files.  Re-sharding requires a
+    new generation."""
+    path = os.path.join(lake.root, "_meta.json")
+    meta = {
+        "num_partitions": cfg.num_partitions,
+        "ordering": cfg.ordering,
+        "sort_key_components": cfg.sort_key_components,
+        "track_previous": bool(cfg.track_previous),
+        # partitioner identity: a lake written under another
+        # stable_hash_cols must fail fast, not mis-route keys
+        "hash_version": HASH_VERSION,
+    }
+    if os.path.exists(path):
+        with open(path) as f:
+            have = json.load(f)
+        # refuse to APPEND to a lake whose on-disk format is newer
+        # than this writer understands (same misread class as reads)
+        check_lake_format(lake.root, have)
+        diffs = {k: (have.get(k), v) for k, v in meta.items()
+                 if have.get(k) != v}
+        if diffs:
+            raise ValueError(
+                f"generation config mismatch vs existing lake {path}: "
+                f"{diffs} — re-shard into a new generation instead"
+            )
+    else:
+        # stamped at creation: this writer emits manifests
+        atomic_write_json(path, dict(
+            meta, format_version=LAKE_FORMAT_VERSION))
+
+
 class ReplaySession:
     """One replay run over an event log into a lake generation."""
 
@@ -581,45 +620,6 @@ class ReplaySession:
                     w[s] = int(n)
         return list(np.argsort(-w, kind="stable"))
 
-    def _check_generation_meta(self) -> None:
-        """Persist the physical sharding config on first commit and fail
-        fast on mismatch: re-running replay with a different
-        ``num_partitions`` (or ordering/sort-key width) would re-key
-        hash(key) % P while old per-partition commits remain, silently
-        duplicating keys across partition files.  Re-sharding requires a
-        new generation."""
-        from deltaray.transforms import HASH_VERSION
-
-        from deltaray.commit import LAKE_FORMAT_VERSION, check_lake_format
-
-        path = os.path.join(self.lake.root, "_meta.json")
-        meta = {
-            "num_partitions": self.cfg.num_partitions,
-            "ordering": self.cfg.ordering,
-            "sort_key_components": self.cfg.sort_key_components,
-            "track_previous": bool(self.cfg.track_previous),
-            # partitioner identity: a lake written under another
-            # stable_hash_cols must fail fast, not mis-route keys
-            "hash_version": HASH_VERSION,
-        }
-        if os.path.exists(path):
-            with open(path) as f:
-                have = json.load(f)
-            # refuse to APPEND to a lake whose on-disk format is newer
-            # than this writer understands (same misread class as reads)
-            check_lake_format(self.lake.root, have)
-            diffs = {k: (have.get(k), v) for k, v in meta.items()
-                     if have.get(k) != v}
-            if diffs:
-                raise ValueError(
-                    f"generation config mismatch vs existing lake {path}: "
-                    f"{diffs} — re-shard into a new generation instead"
-                )
-        else:
-            # stamped at creation: this writer emits manifests
-            atomic_write_json(path, dict(
-                meta, format_version=LAKE_FORMAT_VERSION))
-
     # ---------------------------------------------------------------- run
     def _retry_or_raise(self, exc: Exception, chunk: Chunk, t0: float) -> None:
         """The one retry policy (Failsafe, DeltaWorker.java:303-403 +
@@ -653,7 +653,7 @@ class ReplaySession:
         import ray
 
         cfg = self.cfg
-        self._check_generation_meta()
+        _check_generation_meta(self.lake, cfg)
         # the returned lineage list is a convenience payload — the durable
         # record is the per-partition lineage files (lineage_report).  At
         # 10^10-event scale chunks × shards reaches millions of rows, so
@@ -815,31 +815,16 @@ def bootstrap_table(cfg: ReplayConfig, schema, snapshot_ds,
     """
     import numpy as np
 
-    from deltaray.functions.partition import hash_partitioned
-    from deltaray.merge import stamp_schema
-    from deltaray.transforms import stable_hash_cols
-
-    session = ReplaySession.__new__(ReplaySession)
-    session.cfg = cfg
-    session.lake = LakeState(cfg.lake, cfg.generation)
-    session._check_generation_meta()
-    lake_root, generation = cfg.lake, cfg.generation
-    table = schema.name
+    lake = LakeState(cfg.lake, cfg.generation)
+    _check_generation_meta(lake, cfg)
     keys = schema.keys
     n_sk = max(1, cfg.sort_key_components)
     track_prev = bool(cfg.track_previous)
-    num_partitions = cfg.num_partitions
-    cluster_by = cfg.cluster_by
-    cluster_rg_rows = cfg.cluster_row_group_rows
-    sj = schema.to_json()
-    session.lake.write_schema(schema)
+    lake.write_schema(schema)
 
     def stamp(batch: pa.Table) -> pa.Table:
-        target = TableSchema.from_json(sj)
         cols = {}
-        for name, codec in target.fields:
-            from deltaray.schemas import code_to_type
-
+        for name, codec in schema.fields:
             if name in batch.column_names:
                 cols[name] = batch[name].cast(code_to_type(codec))
             else:
@@ -860,55 +845,61 @@ def bootstrap_table(cfg: ReplayConfig, schema, snapshot_ds,
         if track_prev:
             t = t.append_column("__prev_tokens",
                                pa.nulls(n, pa.list_(pa.int32())))
-        t = t.append_column("__deleted", pa.array(np.zeros(n, dtype=bool)))
-        part = (stable_hash_cols(t, keys)
-                % np.uint64(num_partitions)).astype(np.int64)
-        return t.append_column("__bpart", pa.array(part))
+        return t.append_column("__deleted",
+                               pa.array(np.zeros(n, dtype=bool)))
+
+    rows = _bulk_load(lake, schema, snapshot_seq, cfg.num_partitions,
+                      snapshot_ds.map_batches(stamp, batch_format="pyarrow"),
+                      state="SNAPSHOTTING", cluster_by=cfg.cluster_by,
+                      row_group_rows=cfg.cluster_row_group_rows)
+    # every partition committed: the bootstrap boundary is a consistent
+    # lake state, so record it as a chunk anchor — snapshots() lists it,
+    # time travel / bounded feeds / expire_snapshots can anchor at it,
+    # and reshard carries it over like any committed chunk
+    lake.write_chunk_done(
+        0, snapshot_seq, {"chunk": [0, snapshot_seq], "bootstrap": True})
+    return {"table": schema.name, "partitions": len(rows),
+            "rows": int(sum(r["rows"] for r in rows)),
+            "snapshot_seq": snapshot_seq}
+
+
+def _bulk_load(lake: LakeState, schema: TableSchema, hi: int,
+               num_partitions: int, ds, *, state: str, cluster_by=None,
+               row_group_rows: int = 32768) -> list[dict]:
+    """Write ``ds`` — rows of ``schema`` with the engine's internal
+    columns — as one base commit per partition at ``(0, hi]``: the bulk
+    load bootstrap and reshard share.  One hash exchange on the keys
+    with the engine partitioner, so each exchange block IS one lake
+    partition; each block is LWW-reduced and committed through
+    :func:`~deltaray.merge.commit_partition`.  Returns ``{part, rows}``
+    per committed partition."""
+    import numpy as np
+
+    from deltaray.functions.partition import hash_partitioned
+    from deltaray.transforms import lww_reduce, stable_hash_cols
+
+    keys = schema.keys
 
     def commit_block(block: pa.Table) -> pa.Table:
         if block.num_rows == 0:
             return pa.table({"part": pa.array([], pa.int64()),
                              "rows": pa.array([], pa.int64())})
-        part = int(block["__bpart"][0].as_py())
-        target = TableSchema.from_json(sj)
-        from deltaray.transforms import lww_reduce
-
-        data = lww_reduce(block.drop_columns(["__bpart"]), target.keys)
-        data = stamp_schema(data, target)
-        rg_rows = clustered = None
-        if cluster_by:
-            from deltaray.util import cluster_sort
-
-            data, present = cluster_sort(data, cluster_by)
-            if present:
-                rg_rows, clustered = cluster_rg_rows, cluster_by
-        lake = LakeState(lake_root, generation)
-        counts = {"inserts": int(data.num_rows), "updates": 0, "deletes": 0,
-                  "bytes_in": int(data.nbytes), "late_events": 0}
-        rec = lake.try_commit(table, part, 0, snapshot_seq, data, counts,
-                              kind="base", row_group_rows=rg_rows,
-                              clustered_by=clustered)
-        lake.write_lineage(table, part, {
-            "partition": part, "state": "SNAPSHOTTING",
-            "last_seq": snapshot_seq, "watermark_src_ts": 0,
-            "file": rec["file"], "rows": rec["rows"], "counts": counts,
-        })
+        # np.uint64 modulus: an int one promotes the hash to float64
+        part = int(stable_hash_cols(block.slice(0, 1), keys)[0]
+                   % np.uint64(num_partitions))
+        data = lww_reduce(block, keys)
+        counts = {"inserts": int(data.num_rows), "updates": 0,
+                  "deletes": 0, "bytes_in": int(data.nbytes),
+                  "late_events": 0}
+        rec = commit_partition(lake, schema.name, part, 0, hi, data, counts,
+                               schema=schema, state=state,
+                               cluster_by=cluster_by,
+                               row_group_rows=row_group_rows)
         return pa.table({"part": pa.array([part], pa.int64()),
                          "rows": pa.array([rec["rows"]], pa.int64())})
 
-    stamped = snapshot_ds.map_batches(stamp, batch_format="pyarrow")
-    out = hash_partitioned(stamped, keys, commit_block,
-                           num_partitions=num_partitions)
-    rows = out.take_all()  # tiny: one row per partition
-    # every partition committed: the bootstrap boundary is a consistent
-    # lake state, so record it as a chunk anchor — snapshots() lists it,
-    # time travel / bounded feeds / expire_snapshots can anchor at it,
-    # and reshard carries it over like any committed chunk
-    session.lake.write_chunk_done(
-        0, snapshot_seq, {"chunk": [0, snapshot_seq], "bootstrap": True})
-    return {"table": table, "partitions": len(rows),
-            "rows": int(sum(r["rows"] for r in rows)),
-            "snapshot_seq": snapshot_seq}
+    return hash_partitioned(ds, keys, commit_block,
+                            num_partitions=num_partitions).take_all()
 
 
 def reshard_generation(lake_root: str, new_num_partitions: int,
@@ -936,12 +927,9 @@ def reshard_generation(lake_root: str, new_num_partitions: int,
     once, base commits are written partition-parallel."""
     import shutil as _shutil
 
-    import numpy as np
+    import ray.data
 
-    from deltaray.commit import atomic_write_json, latest_generation
-    from deltaray.functions.partition import hash_partitioned
-    from deltaray.merge import stamp_schema
-    from deltaray.transforms import stable_hash_cols
+    from deltaray.commit import latest_generation
 
     src = LakeState(lake_root, src_generation)
     meta = _gen_meta(src, required=True)
@@ -950,22 +938,19 @@ def reshard_generation(lake_root: str, new_num_partitions: int,
     dst = LakeState(lake_root, dst_generation)
     if os.path.isdir(dst.root):
         raise ValueError(f"generation {dst_generation} already exists")
-    from deltaray.transforms import HASH_VERSION
-
     os.makedirs(dst.root)
-    from deltaray.commit import LAKE_FORMAT_VERSION
-
     # reshard re-routes every row with the CURRENT partitioner (src
     # partitions are read raw, no src-hash needed), so it doubles as the
     # migration path across hash_version bumps.  format_version is
-    # stamped unconditionally: the dst generation is written by THIS
-    # engine (and inherits the src's chunk manifests via the copytree
-    # below), even when the src was a pre-stamp lake upgraded only via
-    # its _format.json sentinel.
-    atomic_write_json(os.path.join(dst.root, "_meta.json"),
-                      {**meta, "num_partitions": int(new_num_partitions),
-                       "hash_version": HASH_VERSION,
-                       "format_version": LAKE_FORMAT_VERSION})
+    # stamped unconditionally, in both writes of the dst meta: the dst
+    # generation is written by THIS engine (and inherits the src's chunk
+    # manifests via the copytree below), even when the src was a
+    # pre-stamp lake upgraded only via its _format.json sentinel.
+    dst_meta = {**meta, "num_partitions": int(new_num_partitions),
+                "hash_version": HASH_VERSION,
+                "format_version": LAKE_FORMAT_VERSION}
+    meta_path = os.path.join(dst.root, "_meta.json")
+    atomic_write_json(meta_path, dst_meta)
     if os.path.isdir(os.path.join(src.root, "_chunks")):
         _shutil.copytree(os.path.join(src.root, "_chunks"),
                          os.path.join(dst.root, "_chunks"))
@@ -994,73 +979,34 @@ def reshard_generation(lake_root: str, new_num_partitions: int,
             results[table] = {"rows": 0, "partitions": 0,
                               "snapshot_seq": wm}
             continue
-        sj = schema.to_json()
-        keys = list(schema.keys)
-        tname = table
-
         def load_raw(batch: pa.Table) -> pa.Table:
             """One src partition's merged RAW state, evolved to the
             current schema (internal columns preserved)."""
-            target = TableSchema.from_json(sj)
             out = []
             for p in batch["part"].to_pylist():
-                tbl, _ = LakeState(lake_root, src_generation) \
-                    .read_partition(tname, p, before_seq=wm + 1)
+                tbl, _ = src.read_partition(table, p, before_seq=wm + 1)
                 if tbl is not None and tbl.num_rows:
-                    t = evolve_to(tbl, target)
-                    part = (stable_hash_cols(t, keys)
-                            % np.uint64(new_num_partitions)).astype(np.int64)
-                    out.append(t.append_column("__rpart", pa.array(part)))
+                    out.append(evolve_to(tbl, schema))
             if not out:
                 return pa.table({})
             return pa.concat_tables(out, promote_options="default")
-
-        def commit_block(block: pa.Table) -> pa.Table:
-            empty = pa.table({"part": pa.array([], pa.int64()),
-                              "rows": pa.array([], pa.int64())})
-            if block.num_rows == 0:
-                return empty
-            part = int(block["__rpart"][0].as_py())
-            target = TableSchema.from_json(sj)
-            # rows arriving here are already per-key-unique: a key lives
-            # in exactly one src partition, and read_partition LWW-
-            # reduced each — the exchange only re-buckets
-            data = stamp_schema(block.drop_columns(["__rpart"]), target)
-            lk = LakeState(lake_root, dst_generation)
-            counts = {"inserts": int(data.num_rows), "updates": 0,
-                      "deletes": 0, "bytes_in": int(data.nbytes),
-                      "late_events": 0}
-            rec = lk.try_commit(tname, part, 0, wm, data, counts,
-                                kind="base", state_rows=data.num_rows)
-            wsrc = pc.max(pc.fill_null(data["__src_ts"], 0)).as_py() or 0
-            lk.write_lineage(tname, part, {
-                "partition": part, "state": "REPLICATING",
-                "last_seq": wm, "watermark_src_ts": int(wsrc),
-                "file": rec["file"], "rows": rec["rows"], "counts": counts,
-            })
-            return pa.table({"part": pa.array([part], pa.int64()),
-                             "rows": pa.array([rec["rows"]], pa.int64())})
-
-        import ray.data
 
         src_ds = ray.data.from_arrow(
             pa.table({"part": pa.array(parts, pa.int64())})) \
             .repartition(len(parts)) \
             .map_batches(load_raw, batch_format="pyarrow", batch_size=1)
-        out = hash_partitioned(src_ds, keys, commit_block,
-                               num_partitions=int(new_num_partitions))
-        rows = out.take_all()  # tiny: one row per new partition
+        # rows are already per-key-unique (a key lives in exactly one
+        # src partition, which read_partition LWW-reduced), so the load's
+        # reduce keeps every row: the exchange only re-buckets them
+        rows = _bulk_load(dst, schema, wm, int(new_num_partitions), src_ds,
+                          state="REPLICATING")
         results[table] = {"rows": int(sum(r["rows"] for r in rows)),
                           "partitions": len(rows), "snapshot_seq": wm}
     # pre-reshard anchors have no data here: record the per-table floor
     # so as-of reads below it raise SnapshotExpiredError instead of
     # silently returning empty tables
-    atomic_write_json(os.path.join(dst.root, "_meta.json"),
-                      {**meta, "num_partitions": int(new_num_partitions),
-                       "hash_version": HASH_VERSION,
-                       "snapshot_floor": {
-                           t: int(r.get("snapshot_seq", 0))
-                           for t, r in results.items()}})
+    atomic_write_json(meta_path, {**dst_meta, "snapshot_floor": {
+        t: int(r.get("snapshot_seq", 0)) for t, r in results.items()}})
     return {"src_generation": src_generation,
             "generation": dst_generation,
             "num_partitions": int(new_num_partitions), "tables": results}
@@ -1757,7 +1703,10 @@ def optimize_table(lake_root: str, table: str, cluster_by: str | list[str],
     One Ray task per partition: merge-on-read the current state, sort it
     by ``cluster_by``, write ONE clustered base commit at the partition's
     watermark (small row groups so parquet min/max statistics are
-    fine-grained), vacuum the superseded files.  Afterwards a
+    fine-grained), vacuum the superseded files.  The commit goes through
+    the same :func:`~deltaray.merge.commit_partition` tail as a replay
+    merge, so the partition's lineage record follows the new base (its
+    ``last_seq``, watermark and state are unchanged).  Afterwards a
     ``read_table_ds(..., predicate=(cluster_col, op, lit))`` skips
     non-matching base files from the commit-log zone maps and
     non-matching row groups inside the base — matching data only, no
@@ -1800,14 +1749,18 @@ def optimize_table(lake_root: str, table: str, cluster_by: str | list[str],
             tbl, hi = lk.read_partition(table, p)
             if tbl is None or not tbl.num_rows:
                 continue
-            from deltaray.util import cluster_sort
-            tbl, _present = cluster_sort(tbl, cluster_cols)
-            rec = lk.commit_optimize(table, p, tbl, hi, cluster_by,
-                                     row_group_rows=row_group_rows)
-            removed = lk.vacuum(table, p) if vacuum else []
+            # one more base commit at the watermark, through the shared
+            # commit tail: it clusters the state and the lineage record
+            # follows the new base
+            rec = commit_partition(
+                lk, table, p, hi, hi, tbl,
+                {"inserts": 0, "updates": 0, "deletes": 0, "bytes_in": 0,
+                 "late_events": 0},
+                cluster_by=cluster_by, row_group_rows=row_group_rows,
+                vacuum=vacuum, tag="opt")
             rows["part"].append(p)
-            rows["rows"].append(int(tbl.num_rows))
-            rows["removed"].append(len(removed))
+            rows["rows"].append(int(rec["rows"]))
+            rows["removed"].append(len(rec.get("vacuumed", [])))
             rows["already"].append(bool(rec.get("replayed")))
         return pa.table({
             "part": pa.array(rows["part"], pa.int64()),

@@ -107,11 +107,12 @@ def test_validate_lake_fsck(ray_session, tmp_log, tmp_lake):
     assert rep["ok"] and any("orphan" in w for w in rep["warnings"])
     assert rep["tables"]["docs"]["orphan_files"] == 1
     os.remove(os.path.join(pdir, "data-999999999999.parquet"))
-    # tampered lineage → error
+    # tampered lineage (stale seq, stale file) → error
     lin = lake.read_lineage("docs", 0)
-    lake.write_lineage("docs", 0, dict(lin, last_seq=1))
-    rep = validate_lake(tmp_lake)
-    assert not rep["ok"] and any("lineage" in e for e in rep["errors"])
+    for bad in (dict(lin, last_seq=1), dict(lin, file="data-bogus.parquet")):
+        lake.write_lineage("docs", 0, bad)
+        rep = validate_lake(tmp_lake)
+        assert not rep["ok"] and any("lineage" in e for e in rep["errors"])
     lake.write_lineage("docs", 0, lin)
     assert validate_lake(tmp_lake)["ok"]
     # missing live data file → error

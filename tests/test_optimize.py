@@ -17,7 +17,8 @@ import shutil
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from deltaray import ReplayConfig, optimize_table, read_table_ds, replay
+from deltaray import (ReplayConfig, lineage_report, optimize_table,
+                      read_table_ds, replay)
 from deltaray.commit import (LakeState, _base_row_groups, column_stats,
                              stats_disjoint)
 from deltaray.gen import write_event_log
@@ -61,22 +62,30 @@ def test_predicate_read_matches_filter(tmp_log, tmp_lake):
 
 
 def test_optimize_then_predicate(tmp_log, tmp_lake):
-    """OPTIMIZE compacts each partition to one clustered base; predicate
-    reads stay exact and the disjoint predicate prunes everything from
-    driver-side metadata alone."""
+    """OPTIMIZE compacts each partition to one clustered base, and each
+    partition's lineage follows it (same last_seq, watermark and
+    state); predicate reads stay exact and the disjoint predicate
+    prunes everything from driver-side metadata alone."""
     write_event_log(tmp_log, n_docs=300, n_events=2500, seed=33,
                     segment_max_events=600)
     replay(ReplayConfig(event_log=tmp_log, lake=tmp_lake,
                         num_partitions=4, chunk_max_events=600))
+    lin0 = lineage_report(tmp_lake, "docs")["tables"]["docs"]["partitions"]
     res = optimize_table(tmp_lake, "docs", "n_tok", row_group_rows=16)
     assert res["partitions"] == 4
     assert res["files_removed"] > 0          # base+deltas folded away
+    lin1 = lineage_report(tmp_lake, "docs")["tables"]["docs"]["partitions"]
     lk = LakeState(tmp_lake)
     for p in range(4):
         live = lk.live_commits("docs", p)
         assert len(live) == 1                # one clustered base file
         assert live[0].get("clustered_by") == "n_tok"
         assert "n_tok" in live[0]["stats"]
+        latest = lk.latest_commit("docs", p)["file"]
+        assert lin1[p]["file"] == latest
+        assert os.path.exists(os.path.join(lk.part_dir("docs", p), latest))
+        for k in ("last_seq", "watermark_src_ts", "state"):
+            assert lin1[p][k] == lin0[p][k], (p, k)
     for pred in [("n_tok", ">=", 30), ("n_tok", "<=", 5),
                  ("n_tok", "==", 12)]:
         _pred_equals_filter(tmp_lake, pred)

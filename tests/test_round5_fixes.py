@@ -108,10 +108,12 @@ def test_format_version_gate(ray_session, tmp_path):
 def test_rollup_stamps_format_upgrade(ray_session, tmp_path):
     """A rollup writing a manifest into an UNSTAMPED (pre-manifest-era)
     generation records the format upgrade via the _format.json
-    sentinel."""
+    sentinel, and a reshard of that generation stamps its destination
+    meta (which inherits the chunk manifests)."""
     import json
     import os
 
+    from deltaray import reshard_generation
     from deltaray.commit import LAKE_FORMAT_VERSION, LakeState
 
     lake = _mini_lake(tmp_path, manifest_every=2)
@@ -132,6 +134,12 @@ def test_rollup_stamps_format_upgrade(ray_session, tmp_path):
     n += st.compact_chunk_markers(1)
     assert n > 0
     with open(sent) as f:
+        assert json.load(f)["format_version"] == LAKE_FORMAT_VERSION
+    reshard_generation(lake, 3, src_generation=0, dst_generation=1)
+    dst = os.path.join(lake, "gen=0001")
+    assert any(f.startswith("chunks-manifest-")
+               for f in os.listdir(os.path.join(dst, "_chunks")))
+    with open(os.path.join(dst, "_meta.json")) as f:
         assert json.load(f)["format_version"] == LAKE_FORMAT_VERSION
 
 
