@@ -12,7 +12,10 @@ Layout (resumable output, one directory per hash partition):
       <generation>/
         <table>/
           _schema/schema-<seq12>.json      # TableSchema after each DDL
-          _truncate/trunc-<seq12>.json     # TRUNCATE_TABLE markers
+          _truncate/trunc-<seq12>.json     # TRUNCATE_TABLE and DROP_TABLE
+                                           # markers (a DROP is a marker at
+                                           # its seq: it hides every
+                                           # earlier commit)
           _commits/part=<K5>/commit-<lo12>-<hi12>.json
           _commits/part=<K5>/commit-<hi12>-<hi12>opt.json
                                            # OPTIMIZE's clustered base
@@ -30,6 +33,10 @@ Layout (resumable output, one directory per hash partition):
         _lineage/<table>/part=<K5>.json    # per-partition lineage record,
                                            # rewritten after EVERY commit
 
+Lakes written by older engines may also hold a per-table directory of
+separate drop markers; nothing reads it (every DROP there also wrote
+its TRUNCATE marker).
+
 Exactly-once contract (EventConsumer.java:39-76 analog): the data file is
 written (temp + atomic rename, deterministic name) BEFORE its commit
 record; a commit record is write-once; any retried merge that finds its
@@ -39,7 +46,8 @@ the Ray translation of the (offset, sequenceNumber) checkpoint
 Every writer — replay's merge, bootstrap, reshard and OPTIMIZE — commits
 through ``merge.commit_partition``, which rewrites the partition's
 lineage record right after each commit (fsck checks that it names the
-latest one).
+latest one); a retried merge that finds its commit re-points a lineage
+record left behind.
 
 ``generation`` isolates recreated pipelines (DeltaWorker.java:140-150).
 """
@@ -49,6 +57,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import re
 import tempfile
 import time
 
@@ -124,7 +133,10 @@ def check_lake_format(root: str, meta: dict | None) -> dict | None:
 # MANIFEST_MERGE_AT manifests accumulate they merge into one.  Reads
 # then cost O(manifests + recent loose) file opens instead of
 # O(total history).  Iceberg's manifest-list analog, adapted to the
-# write-once single-writer-per-partition commit protocol:
+# write-once single-writer-per-partition commit protocol.  Commit
+# records and chunk markers share it: one writer (``LakeState._rollup``)
+# and one reader (``_read_rolled``), so the safety argument below is
+# made once for both record kinds:
 #
 # - the manifest is written atomically BEFORE its sources are deleted,
 #   and its name is deterministic in its contents (max seq_hi + count +
@@ -166,6 +178,57 @@ def _load_manifest(path: str) -> dict:
     return recs
 
 
+# (loose prefix, loose suffix, manifest prefix) of the two rolled record
+# kinds, shared by the writer and the reader; the ``chunks-manifest-``
+# prefix never matches the ``chunk-`` loose filter (the 's' breaks it)
+_COMMIT_NAMES = ("commit-", ".json", "manifest-")
+_CHUNK_NAMES = ("chunk-", ".done", "chunks-manifest-")
+_RECORD_HI = re.compile(r"[a-z]+-\d+-(\d+)")
+
+
+def record_seq_hi(fname: str) -> int:
+    """The seq_hi a record name carries: ``commit-<lo>-<hi>[tag].json``
+    and ``chunk-<lo>-<hi>.done`` both put it in the third field."""
+    return int(_RECORD_HI.match(fname).group(1))
+
+
+def _read_rolled(d: str, loose_prefix: str, loose_suffix: str,
+                 man_prefix: str, *, only: str | None = None,
+                 min_hi: int = -1) -> dict[str, dict]:
+    """The one reader of the rollup protocol: record filename -> record
+    over the manifests plus the loose files in ``d``, deduped by
+    filename (a rollup crash can leave a record in both places).  A
+    file deleted between the listing and the read means a rollup just
+    covered it: re-list, the manifest has it by then.  A vanished
+    directory (concurrent DROP / external cleanup) means "no records".
+    ``only`` limits the loose files opened to that one name;
+    ``min_hi`` >= 0 skips manifests whose name pins a lower max seq_hi
+    (names are parsed only then, so a stray file cannot break a plain
+    listing)."""
+    for _attempt in range(8):
+        try:
+            names = sorted(os.listdir(d))
+            recs: dict[str, dict] = {}
+            for f in names:
+                if f.startswith(man_prefix) and f.endswith(".json") and (
+                        min_hi < 0 or int(f[len(man_prefix):].split("-")[0])
+                        >= min_hi):
+                    recs.update(_load_manifest(os.path.join(d, f)))
+            for f in names:
+                if (f.startswith(loose_prefix) and f.endswith(loose_suffix)
+                        and f not in recs and only in (None, f)):
+                    with open(os.path.join(d, f)) as fh:
+                        recs[f] = json.load(fh)
+            return recs
+        except FileNotFoundError:
+            # only FILE-level races earn the retry
+            if not os.path.isdir(d):
+                return {}
+    raise RuntimeError(
+        f"record listing under {d} kept racing manifest rollups — is an "
+        f"external process deleting files?")
+
+
 def atomic_write_json(path: str, obj: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -179,14 +242,7 @@ def atomic_write_parquet(path: str, tbl: pa.Table,
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     os.close(fd)
-    # GRAFT_PARQUET_CODEC tunes the CPU-vs-bytes trade per deployment
-    # (zstd default: ~25% smaller lake; lz4: cheaper commit writes when
-    # storage is plentiful).  Read per call so workers honor the env
-    # they inherited; safe to vary between runs — parquet files are
-    # self-describing.
-    pq.write_table(tbl, tmp,
-                   compression=os.environ.get("GRAFT_PARQUET_CODEC",
-                                              "zstd"),
+    pq.write_table(tbl, tmp, compression="zstd",
                    row_group_size=row_group_size)
     os.replace(tmp, path)
 
@@ -433,94 +489,36 @@ class LakeState:
         (live_commits / committed_hi run once per partition per
         merge-on-read task; copying the full history there would cost
         O(chunks-ever-committed) per read)."""
-        d = self.commit_dir(table, part)
-        if not os.path.isdir(d):
-            return []
-        for _attempt in range(8):
-            try:
-                names = sorted(os.listdir(d))
-                recs: dict[str, dict] = {}
-                for f in names:
-                    if f.startswith("manifest-") and f.endswith(".json"):
-                        recs.update(_load_manifest(os.path.join(d, f)))
-                for f in names:
-                    if (f.startswith("commit-") and f.endswith(".json")
-                            and f not in recs):
-                        with open(os.path.join(d, f)) as fh:
-                            recs[f] = json.load(fh)
-                # STATE order is (seq_hi, seq_lo, name), not filename
-                # (lo, hi) order: a catch-up chunk from a re-segmented /
-                # compacted upstream log can EXTEND past the committed
-                # head with a low seq_lo — filename order would sort it
-                # before the old head, and live_commits' "last base +
-                # following deltas" selection (and committed_hi) would
-                # silently drop its events.  hi-order makes the newest
-                # state last regardless of range shape; at equal hi a
-                # base (full state) precedes the deltas re-applied on it
-                # and the `opt` clustered base (lo == hi) sorts after a
-                # chunk commit ending at the same hi, preserving the
-                # OPTIMIZE convention.
-                return sorted(
-                    recs.values(),
-                    key=lambda r: (r["seq_hi"],
-                                   0 if r.get("kind", "base") == "base"
-                                   and r["seq_lo"] < r["seq_hi"] else 1,
-                                   r["seq_lo"]))
-            except FileNotFoundError:
-                # the directory itself vanishing (concurrent DROP /
-                # external cleanup) means "no commits", not a rollup
-                # race — only FILE-level races earn the retry + error
-                if not os.path.isdir(d):
-                    return []
-                continue
-        raise RuntimeError(
-            f"commit listing for {table!r} part {part} kept racing "
-            f"manifest rollups — is an external process deleting files?")
+        recs = _read_rolled(self.commit_dir(table, part), *_COMMIT_NAMES)
+        # STATE order is (seq_hi, seq_lo, name), not filename (lo, hi)
+        # order: a catch-up chunk from a re-segmented / compacted
+        # upstream log can EXTEND past the committed head with a low
+        # seq_lo — filename order would sort it before the old head, and
+        # live_commits' "last base + following deltas" selection (and
+        # committed_hi) would silently drop its events.  hi-order makes
+        # the newest state last regardless of range shape; at equal hi a
+        # base (full state) precedes the deltas re-applied on it and the
+        # `opt` clustered base (lo == hi) sorts after a chunk commit
+        # ending at the same hi, preserving the OPTIMIZE convention.
+        return sorted(
+            recs.values(),
+            key=lambda r: (r["seq_hi"],
+                           0 if r.get("kind", "base") == "base"
+                           and r["seq_lo"] < r["seq_hi"] else 1,
+                           r["seq_lo"]))
 
     def commit_record(self, table: str, part: int, fname: str) -> dict | None:
         """One commit record by its filename, whether loose or already
-        rolled into a manifest — the write-once existence check.  A
-        manifest deleted between the listing and the read means a
-        rollup just merged it; RE-LIST rather than skip, or a committed
-        chunk could spuriously read as absent mid-rollup and re-apply."""
-        d = self.commit_dir(table, part)
-        p = os.path.join(d, fname)
-        try:
-            with open(p) as f:
-                return json.load(f)
-        except FileNotFoundError:
-            pass
-        if not os.path.isdir(d):
-            return None
-        # the commit filename embeds its seq_hi; a manifest's name pins
-        # the max seq_hi it covers, so manifests provably too old to
-        # hold this record are skipped without parsing (the common miss
-        # path: a brand-new chunk probing before its first commit)
-        digits = "".join(c for c in fname.split("-")[2] if c.isdigit())
-        fname_hi = int(digits) if digits else -1
-        for _attempt in range(8):
-            try:
-                for f in sorted(os.listdir(d)):
-                    if not (f.startswith("manifest-")
-                            and f.endswith(".json")):
-                        continue
-                    man_hi = int(f.split("-")[1])
-                    if 0 <= fname_hi and man_hi < fname_hi:
-                        continue
-                    recs = _load_manifest(os.path.join(d, f))
-                    if fname in recs:
-                        return dict(recs[fname])
-                return None
-            except FileNotFoundError:
-                if not os.path.isdir(d):  # dir gone = record absent
-                    return None
-                continue
-        raise RuntimeError(
-            f"commit lookup for {table!r} part {part} kept racing "
-            f"manifest rollups — is an external process deleting files?")
+        rolled into a manifest — the write-once existence check.  The
+        name pins the record's seq_hi, so manifests provably too old to
+        hold it are skipped unread (the common miss path: a brand-new
+        chunk probing before its first commit)."""
+        rec = _read_rolled(self.commit_dir(table, part), *_COMMIT_NAMES,
+                           only=fname, min_hi=record_seq_hi(fname)).get(fname)
+        return None if rec is None else dict(rec)
 
-    def _rollup(self, d: str, *, every: int, loose_prefix: str,
-                loose_suffix: str, man_prefix: str, hi_of) -> int:
+    def _rollup(self, d: str, every: int, loose_prefix: str,
+                loose_suffix: str, man_prefix: str) -> int:
         """Shared crash-safe rollup protocol for loose records →
         manifests (commit records AND chunk markers call this — one
         place where the safety argument must hold): the manifest is
@@ -529,9 +527,10 @@ class LakeState:
         concurrent rollups), and a full merge of existing manifests
         runs only once MANIFEST_MERGE_AT accumulate (two-tier rollup
         keeps write amplification near O(N log N): level 0 folds only
-        the loose records, existing manifests untouched).
-        ``hi_of(fname, record)`` extracts the record's seq_hi for the
-        manifest name.  Returns the number of source files retired."""
+        the loose records, existing manifests untouched).  The manifest
+        name pins the max seq_hi its record names carry.  Returns the
+        number of source files retired.  The read half is
+        :func:`_read_rolled`."""
         if every <= 0 or not os.path.isdir(d):
             return 0
         names = sorted(os.listdir(d))
@@ -563,7 +562,7 @@ class LakeState:
         if not recs:
             return 0
         import hashlib
-        hi = max(hi_of(f, r) for f, r in recs.items())
+        hi = max(record_seq_hi(f) for f in recs)
         digest = hashlib.sha1(
             "\n".join(sorted(recs)).encode()).hexdigest()[:10]
         mname = f"{man_prefix}{_seq12(hi)}-{len(recs):08d}-{digest}.json"
@@ -598,11 +597,8 @@ class LakeState:
         """Roll loose commit records into a manifest once ``every`` have
         accumulated, and merge manifests once MANIFEST_MERGE_AT exist
         (shared protocol: :meth:`_rollup`)."""
-        return self._rollup(
-            self.commit_dir(table, part), every=every,
-            loose_prefix="commit-", loose_suffix=".json",
-            man_prefix="manifest-",
-            hi_of=lambda f, r: int(r["seq_hi"]))
+        return self._rollup(self.commit_dir(table, part), every,
+                            *_COMMIT_NAMES)
 
     # ------------------------------------------------- chunk-done markers
     # Same unbounded-growth story as commit records: one ``chunk-*.done``
@@ -614,29 +610,8 @@ class LakeState:
 
     def chunk_done_records(self) -> dict[str, dict]:
         """marker filename -> record, from manifests + loose markers."""
-        d = os.path.join(self.root, "_chunks")
-        if not os.path.isdir(d):
-            return {}
-        for _attempt in range(8):
-            try:
-                names = sorted(os.listdir(d))
-                recs: dict[str, dict] = {}
-                for f in names:
-                    if (f.startswith("chunks-manifest-")
-                            and f.endswith(".json")):
-                        recs.update(_load_manifest(os.path.join(d, f)))
-                for f in names:
-                    if (f.startswith("chunk-") and f.endswith(".done")
-                            and f not in recs):
-                        with open(os.path.join(d, f)) as fh:
-                            recs[f] = json.load(fh)
-                return recs
-            except FileNotFoundError:
-                if not os.path.isdir(d):  # dir gone = no markers
-                    return {}
-                continue
-        raise RuntimeError(
-            f"chunk-marker listing under {d} kept racing rollups")
+        return _read_rolled(os.path.join(self.root, "_chunks"),
+                            *_CHUNK_NAMES)
 
     def write_chunk_done(self, lo: int, hi: int, record: dict,
                          manifest_every: int = 0) -> None:
@@ -646,15 +621,9 @@ class LakeState:
 
     def compact_chunk_markers(self, every: int) -> int:
         """Roll loose chunk markers into a manifest; same crash-safety
-        protocol as :meth:`compact_manifests` (shared :meth:`_rollup`).
-        The marker filename embeds its seq_hi (``chunk-<lo>-<hi>.done``);
-        the ``chunks-manifest-`` prefix never matches the ``chunk-``
-        loose filter (the 's' breaks the prefix)."""
-        return self._rollup(
-            os.path.join(self.root, "_chunks"), every=every,
-            loose_prefix="chunk-", loose_suffix=".done",
-            man_prefix="chunks-manifest-",
-            hi_of=lambda f, r: int(f.split("-")[2].split(".")[0]))
+        protocol as :meth:`compact_manifests` (shared :meth:`_rollup`)."""
+        return self._rollup(os.path.join(self.root, "_chunks"), every,
+                            *_CHUNK_NAMES)
 
     def latest_commit(self, table: str, part: int) -> dict | None:
         cs = self._list_commits_raw(table, part)

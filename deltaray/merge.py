@@ -251,8 +251,8 @@ def commit_partition(lake: LakeState, table: str, part: int, lo: int,
     ``tag`` names OPTIMIZE's ``opt`` commit), optionally vacuums the
     superseded files (listed in the returned record's ``vacuumed``),
     then rewrites the partition's lineage record so it names this
-    commit.  ``state`` None keeps the previous lineage state.  Returns
-    the commit record (``replayed`` when it already existed)."""
+    commit (:func:`write_partition_lineage`).  Returns the commit record
+    (``replayed`` when it already existed)."""
     if schema is not None:
         data = stamp_schema(data, schema)
     rg_rows = clustered = None
@@ -270,29 +270,48 @@ def commit_partition(lake: LakeState, table: str, part: int, lo: int,
     if vacuum:
         # superseded COW files are unreachable once this commit exists
         rec["vacuumed"] = lake.vacuum(table, part)
-    # per-partition event-time watermark: everything at or below this
-    # source_ts for this partition's keys has been applied.  Monotone
-    # across commits: an UN_ORDERED chunk made entirely of late events
-    # must not regress the partition (and hence table-min) watermark.
-    wm = pc.max(data["__src_ts"]).as_py() if data.num_rows else None
+    write_partition_lineage(lake, table, part, rec, state)
+    return rec
+
+
+def write_partition_lineage(lake: LakeState, table: str, part: int,
+                            rec: dict, state: str | None = None) -> None:
+    """Rewrite the partition's lineage record so it names commit
+    ``rec``; ``state`` None keeps the previous lineage state.  The
+    per-partition event-time watermark comes from the commit's
+    ``__src_ts`` zone map: everything at or below it for this
+    partition's keys has been applied.  Monotone across commits: an
+    UN_ORDERED chunk made entirely of late events must not regress the
+    partition (and hence table-min) watermark."""
+    wm = rec.get("stats", {}).get("__src_ts", [0, 0])[1]
     prev = lake.read_lineage(table, part)
     if prev is not None:
-        wm = max(int(wm or 0), int(prev.get("watermark_src_ts", 0)))
+        wm = max(int(wm), int(prev.get("watermark_src_ts", 0)))
         state = state or prev.get("state")
     rows = int(rec.get("state_rows", rec["rows"]))
     lineage = {
         "partition": part,
         "state": state or "REPLICATING",
-        "last_seq": hi,
-        "watermark_src_ts": int(wm or 0),
+        "last_seq": int(rec["seq_hi"]),
+        "watermark_src_ts": int(wm),
         "file": rec["file"],
         "rows": rows,
-        "counts": counts,
+        "counts": rec.get("counts", {}),
     }
     if rows > PARTITION_ROWS_SOFT_LIMIT:
         lineage["oversized"] = True
     lake.write_lineage(table, part, lineage)
-    return rec
+
+
+def _catch_up_lineage(lake: LakeState, table: str, part: int) -> None:
+    """A merge that died between its commit record and its lineage
+    write is retried into a skip path: re-point the lineage at the
+    partition's latest commit when it lags, or it stays stale until
+    some later chunk touches the partition."""
+    latest = lake.latest_commit(table, part)
+    lin = lake.read_lineage(table, part)
+    if lin is None or int(lin.get("last_seq", -1)) < latest["seq_hi"]:
+        write_partition_lineage(lake, table, part, latest)
 
 
 def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
@@ -326,6 +345,7 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
         # whose commit record was rolled up must still be a no-op
         rec = lake.commit_record(tname, part, os.path.basename(cpath))
         if rec is not None:
+            _catch_up_lineage(lake, tname, part)
             return _lineage_row(rec, skipped=True)
         # one listing serves the coverage check AND the compact decision
         # below (hi-ordered, so the last live commit carries the max
@@ -340,7 +360,8 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
             # would carry stale-range metadata (a delta stamped at an
             # old seq_hi holding CURRENT winners), poisoning as-of
             # reads at interior anchors and the retention filename
-            # gate — so skip without writing anything.
+            # gate — so skip without writing any commit.
+            _catch_up_lineage(lake, tname, part)
             return _lineage_row({
                 "table": tname, "part": part, "seq_lo": chunk_lo,
                 "seq_hi": chunk_hi, "rows": 0, "counts": {},

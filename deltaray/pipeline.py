@@ -44,7 +44,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from deltaray.commit import (LAKE_FORMAT_VERSION, LakeState, atomic_write_json,
-                             check_lake_format, live_window,
+                             check_lake_format, live_window, record_seq_hi,
                              stats_disjoint_any)
 from deltaray.config import ReplayConfig
 from deltaray.merge import (commit_partition, evolve_to, make_merge_fn,
@@ -436,11 +436,6 @@ class ReplaySession:
                                              "DROP_TABLE", "", seq)
                     self.dropped.add(dt)
                     self.lake.write_truncate(dt, seq)
-                    atomic_write_json(
-                        os.path.join(self.lake.table_dir(dt), "_dropped",
-                                     f"drop-{seq:012d}.json"),
-                        {"seq": seq},
-                    )
                 continue
             if self.cfg.table_names and t not in self.cfg.table_names:
                 continue
@@ -464,23 +459,15 @@ class ReplaySession:
             self.schemas = apply_ddl(self.schemas, t, op, payload, seq)
             if op == "DROP_TABLE":
                 self.dropped.add(t)
-                # truncate-style barrier at the drop seq: merges after a
-                # later CREATE_TABLE of the same name start from empty
-                # state instead of resurrecting pre-drop commits (the
-                # oracle resets state on DROP)
+                # a DROP is a TRUNCATE marker at its seq: reads of the
+                # dropped table come back empty, feeds across it emit
+                # DELETEs, and merges after a later CREATE_TABLE of the
+                # same name start from empty state instead of
+                # resurrecting pre-drop commits (the oracle resets state
+                # on DROP)
                 self.lake.write_truncate(t, seq)
-                atomic_write_json(
-                    os.path.join(self.lake.table_dir(t), "_dropped", f"drop-{seq:012d}.json"),
-                    {"seq": seq},
-                )
             elif t in self.schemas:
                 self.dropped.discard(t)
-                if op == "CREATE_TABLE":
-                    # recreate-after-drop: clear the dropped marker so
-                    # reads see the (empty, then re-replicated) table
-                    ddir = os.path.join(self.lake.table_dir(t), "_dropped")
-                    if os.path.isdir(ddir):
-                        shutil.rmtree(ddir)
                 self.lake.write_schema(self._effective()[t])
 
     # -------------------------------------------------------------- chunk
@@ -912,7 +899,7 @@ def reshard_generation(lake_root: str, new_num_partitions: int,
     Copies each table's RAW internal state (version columns, tombstones
     and before-images included) through one hash exchange into per-new-
     partition base commits in a fresh generation, and carries over the
-    schema history, truncate/drop markers and completed-chunk markers.
+    schema history, truncate markers and completed-chunk markers.
     Because versions are preserved exactly and chunk markers transfer,
     ``replay`` against the new generation skips the already-applied
     prefix and tails only new events; a retried/lagging chunk re-applies
@@ -925,8 +912,6 @@ def reshard_generation(lake_root: str, new_num_partitions: int,
     One streaming pass per table: src partitions are merge-on-read
     units (one read task each), the exchange moves every row exactly
     once, base commits are written partition-parallel."""
-    import shutil as _shutil
-
     import ray.data
 
     from deltaray.commit import latest_generation
@@ -952,18 +937,18 @@ def reshard_generation(lake_root: str, new_num_partitions: int,
     meta_path = os.path.join(dst.root, "_meta.json")
     atomic_write_json(meta_path, dst_meta)
     if os.path.isdir(os.path.join(src.root, "_chunks")):
-        _shutil.copytree(os.path.join(src.root, "_chunks"),
-                         os.path.join(dst.root, "_chunks"))
+        shutil.copytree(os.path.join(src.root, "_chunks"),
+                        os.path.join(dst.root, "_chunks"))
     results: dict[str, dict] = {}
     for table in src.list_tables():
-        for sub in ("_schema", "_truncate", "_dropped"):
+        for sub in ("_schema", "_truncate"):
             sdir = os.path.join(src.table_dir(table), sub)
             if os.path.isdir(sdir):
-                _shutil.copytree(sdir, os.path.join(dst.table_dir(table),
-                                                    sub))
+                shutil.copytree(sdir, os.path.join(dst.table_dir(table),
+                                                   sub))
         schema = src.current_schema(table)
-        if schema is None or _dropped_asof(src, table, None):
-            results[table] = {"rows": 0, "skipped": "dropped or schemaless"}
+        if schema is None:
+            results[table] = {"rows": 0, "skipped": "schemaless"}
             continue
         wm = committed_watermark(lake_root, table, src_generation)
         # copy the state AS OF the watermark cut, not the partition
@@ -1066,7 +1051,7 @@ def snapshots(lake_root: str, generation: int = 0) -> list[int]:
     O(manifests + recent loose markers) metadata reads (markers roll
     into chunk manifests like commit records), no data reads."""
     recs = LakeState(lake_root, generation).chunk_done_records()
-    return sorted(int(f[:-len(".done")].split("-")[2]) for f in recs)
+    return sorted(record_seq_hi(f) for f in recs)
 
 
 def _anchor_or_raise(lake_root: str, seq: int, generation: int) -> int:
@@ -1093,22 +1078,6 @@ def _schema_asof(lake: LakeState, table: str, seq: int | None):
         return lake.current_schema(table)
     ss = [s for s in lake.schemas_for(table) if s.version_seq <= seq]
     return ss[-1] if ss else None
-
-
-def _dropped_asof(lake: LakeState, table: str, seq: int | None) -> bool:
-    """True when the table is in dropped state at ``seq``.  Drop markers
-    carry their DDL seq and are cleared wholesale on re-CREATE, so the
-    surviving markers are exactly the drops since the last create."""
-    d = os.path.join(lake.table_dir(table), "_dropped")
-    if not os.path.isdir(d):
-        return False
-    if seq is None:
-        return True
-    return any(
-        int(f[len("drop-"):-len(".json")]) <= seq
-        for f in os.listdir(d)
-        if f.startswith("drop-") and f.endswith(".json")
-    )
 
 
 def _live_parts_asof(lake: LakeState, table: str,
@@ -1344,8 +1313,6 @@ def read_table(lake_root: str, table: str, generation: int = 0,
     if with_previous:
         out_schema = out_schema.append(pa.field("prev_tokens",
                                                 pa.list_(pa.int32())))
-    if _dropped_asof(lake, table, asof_seq):
-        return out_schema.empty_table()
     parts = []
     for part in _live_parts_asof(lake, table, before):
         tbl, _ = lake.read_partition(table, part, before_seq=before)
@@ -1382,7 +1349,7 @@ def read_rows(lake_root: str, table: str, keys: list, generation: int = 0,
     want = (schema.column_names() if columns is None
             else list(dict.fromkeys([*key_cols, *columns])))
     out_schema = pa.schema([schema.arrow_schema().field(c) for c in want])
-    if not keys or _dropped_asof(lake, table, asof_seq):
+    if not keys:
         return out_schema.empty_table()
     gmeta, parts, keep = _route_keys(lake, schema, keys)
     # prune the payload at the parquet read, like read_table_ds — this
@@ -1560,9 +1527,7 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
     if with_previous:
         out_schema = out_schema.append(pa.field("prev_tokens",
                                                 pa.list_(pa.int32())))
-    parts = []
-    if not _dropped_asof(lake, table, asof_seq):
-        parts = _live_parts_asof(lake, table, before)
+    parts = _live_parts_asof(lake, table, before)
     if not parts:
         return ray.data.from_arrow(out_schema.empty_table())
     sj = schema.to_json()
@@ -1599,25 +1564,20 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
         # the partitioner's own invariant, independent of zone maps,
         # renames or ordering; the exact filter still applies after)
         eq = {c: lit for c, op, lit in conjuncts if op == "=="}
-        from deltaray.transforms import HASH_VERSION, stable_hash_cols
-        if (gmeta_pred is not None and set(schema.keys) <= set(eq)
-                and gmeta_pred.get("hash_version") == HASH_VERSION):
-            import numpy as np
+        if gmeta_pred is not None and set(schema.keys) <= set(eq):
             if io_stats_out is not None:
                 for k in ("files_read", "files_pruned", "parts_pruned"):
                     io_stats_out.setdefault(k, 0)
             try:
-                # a literal not exactly representable in the key type
-                # (id == 1.5, an out-of-range int) can match NOTHING —
-                # fall through to the unrouted scan, whose exact filter
-                # returns the same empty result the pre-routing path did
-                ktbl = pa.table({
-                    k: pa.array([eq[k]], schema.arrow_schema().field(k).type)
-                    for k in schema.keys})
-                target_p = int(stable_hash_cols(ktbl, list(schema.keys))[0]
-                               % np.uint64(int(gmeta_pred["num_partitions"])))
-                routed = [p for p in parts if p == target_p]
-            except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError):
+                _, target, _ = _route_keys(
+                    lake, schema, [tuple(eq[k] for k in schema.keys)])
+                routed = [p for p in parts if p in target]
+            except (ValueError, pa.ArrowTypeError, OverflowError):
+                # ValueError: a lake under another hash_version (routing
+                # would mis-route), or — as ArrowInvalid — a literal not
+                # exactly representable in the key type (id == 1.5), which
+                # can match NOTHING.  Either way fall through to the
+                # unrouted scan; its exact filter returns the right rows.
                 routed = parts
             if io_stats_out is not None:
                 io_stats_out["parts_pruned"] = (
@@ -2082,28 +2042,27 @@ def read_changes(lake_root: str, table: str, since_seq: int,
     anchor_phys = None
     if trunc_hidden is not None:
         anchor_phys = _phys_cols(gmeta, schema.keys)
-    parts = []
     # a table dropped inside the window still owes its consumers the
-    # DELETEs for every key live at the anchor: DROP writes a
-    # truncate-style marker at its seq, so the synthetic-DELETE path
-    # below emits them (read_table on a dropped table is EMPTY — the
-    # patch law then requires the feed to retire all anchor keys).
-    # A table already dropped AT the anchor has trunc_hidden None and
-    # correctly yields an empty feed.
-    if not _dropped_asof(lake, table, as_of_seq) or trunc_hidden is not None:
-        for p in lake.partitions(table):
-            # the as-of gate checks only the files this pull will read:
-            # pre-anchor files the ORDERED pruning skips may
-            # legitimately be vacuumed away
-            live = _live_parts_asof_one(lake, table, p, before, min_hi)
-            touched = any(since_seq < c["seq_hi"] for c in live)
-            # the since-anchor state will actually be read: the same
-            # gate at since_seq
-            if trunc_hidden is not None and _live_parts_asof_one(
-                    lake, table, p, since_seq + 1):
-                touched = True
-            if touched:
-                parts.append(p)
+    # DELETEs for every key live at the anchor: a DROP is a TRUNCATE
+    # marker at its seq, so the synthetic-DELETE path below emits them
+    # (read_table on a dropped table is EMPTY — the patch law then
+    # requires the feed to retire all anchor keys).  A table already
+    # dropped AT the anchor has trunc_hidden None and an empty live
+    # window, so it correctly yields an empty feed.
+    parts = []
+    for p in lake.partitions(table):
+        # the as-of gate checks only the files this pull will read:
+        # pre-anchor files the ORDERED pruning skips may legitimately be
+        # vacuumed away
+        live = _live_parts_asof_one(lake, table, p, before, min_hi)
+        touched = any(since_seq < c["seq_hi"] for c in live)
+        # the since-anchor state will actually be read: the same gate at
+        # since_seq
+        if trunc_hidden is not None and _live_parts_asof_one(
+                lake, table, p, since_seq + 1):
+            touched = True
+        if touched:
+            parts.append(p)
     if not parts:
         return ray.data.from_arrow(out_schema.empty_table())
     sj = schema.to_json()

@@ -419,8 +419,8 @@ class TransformStage:
         effective_schemas: dict[str, TableSchema],
     ):
         self.ordering = cfg.ordering
-        self.track_previous = bool(getattr(cfg, "track_previous", False))
-        self.n_sk = max(1, int(getattr(cfg, "sort_key_components", 2)))
+        self.track_previous = cfg.track_previous
+        self.n_sk = cfg.sort_key_components
         self.num_partitions = cfg.num_partitions
         self.table_set = cfg.table_names  # empty = all tables
         self.dml_bl = {t: cfg.dml_blacklist_for(t) for t in schemas}

@@ -12,7 +12,8 @@ earlier suite exercises:
 - OPTIMIZE then reshard_generation (a clustered opt base is raw input
   to the exchange) and OPTIMIZE of the resharded generation
 - reshard across a TRUNCATE marker (markers are copied; the new base
-  spans the marker's seq but holds only post-marker survivors)
+  spans the marker's seq but holds only post-marker survivors) and
+  across a DROP (the dropped table gets a snapshot floor like any other)
 - refresh_aggregate anchored below the retention floor (must raise
   SnapshotExpiredError, never a silently-stale aggregate)
 - bootstrap anchor x expire_snapshots (the bootstrap boundary obeys
@@ -227,6 +228,44 @@ def test_reshard_across_truncate(ray_session, tmp_path):
     assert h.num_rows > 0
     assert pc.min(h["seq"]).as_py() > trunc_seq
     assert set(h.filter(h["is_current"])["doc_id"].to_pylist()) == set(keys)
+
+
+def test_reshard_across_drop(ray_session, tmp_path):
+    """Resharding a lake whose ``docs`` was dropped mid-log: the DROP is
+    only its TRUNCATE marker, so the dropped table takes the same
+    watermark cut as every other table and gets a snapshot floor — the
+    new generation reads it empty at head and raises
+    SnapshotExpiredError as of a pre-drop anchor, never an empty table
+    that silently stands in for the pre-drop state."""
+    from deltaray.commit import LakeState
+
+    log, lake = str(tmp_path / "ev"), str(tmp_path / "lk")
+    write_event_log(log, n_docs=100, n_events=1500, seed=109,
+                    segment_max_events=300,
+                    ddl=[(800, "docs", "DROP_TABLE", {})])
+    replay(ReplayConfig(event_log=log, lake=lake, num_partitions=4,
+                        chunk_max_events=300, vacuum=False))
+    src = LakeState(lake)
+    [drop_seq] = src.truncate_seqs("docs")
+    anchor = snapshots(lake)[0]
+    assert anchor < drop_seq
+    assert read_table(lake, "docs", asof_seq=anchor).num_rows > 0
+    assert read_table(lake, "docs").num_rows == 0
+
+    res = reshard_generation(lake, 6)
+    assert read_table(lake, "docs", generation=1).num_rows == 0
+    with pytest.raises(SnapshotExpiredError):
+        read_table(lake, "docs", generation=1, asof_seq=anchor)
+    floor = res["tables"]["docs"]["snapshot_seq"]
+    assert anchor < floor < drop_seq
+    # the cut itself (the last pre-drop anchor here) stays readable
+    ok, msg = tables_equal(read_table(lake, "docs", generation=1,
+                                      asof_seq=floor),
+                           read_table(lake, "docs", asof_seq=floor),
+                           key="doc_id")
+    assert ok, msg
+    # one drop record: the TRUNCATE marker
+    assert "_dropped" not in os.listdir(src.table_dir("docs"))
 
 
 def test_refresh_aggregate_below_floor_raises(ray_session, tmp_path):

@@ -11,6 +11,7 @@ that at O(manifests + recent loose) opens.  These tests pin:
   was rolled into a manifest is still a no-op)
 - manifest merging at MANIFEST_MERGE_AT
 - crash-window dedupe (a record present both loose and in a manifest)
+- a rollup between a reader's listing and its reads loses no record
 - an end-to-end replay with aggressive rollup: state == oracle, resume
   skips every chunk, snapshots/feeds/history/optimize/expire all work
   from manifest-held records
@@ -203,6 +204,70 @@ def test_manifest_crash_window_dedupe(tmp_path):
     listed = lk.list_commits("docs", 0)
     assert len(listed) == 4
     assert [c["seq_hi"] for c in listed] == [10, 20, 30, 40]
+
+
+def _roll_mid_read(monkeypatch, d, roll) -> list:
+    """Run ``roll`` once, right after the first listing of ``d``: the
+    reader then opens names the rollup has just deleted."""
+    real = os.listdir
+    fired: list = []
+
+    def listdir(path):
+        names = real(path)
+        if not fired and os.path.abspath(path) == os.path.abspath(d):
+            fired.append(path)
+            roll()
+        return names
+
+    monkeypatch.setattr(os, "listdir", listdir)
+    return fired
+
+
+@pytest.mark.parametrize("rolled", ["loose", "manifests"])
+@pytest.mark.parametrize("reader", ["list_commits", "commit_record",
+                                    "chunk_done_records"])
+def test_rollup_mid_read_loses_no_record(tmp_path, monkeypatch, reader,
+                                         rolled):
+    """A rollup that retires the files a reader has just listed — loose
+    records into a level-0 manifest, or manifests into their merge —
+    costs the reader a re-list, never a record."""
+    monkeypatch.setattr(commit_mod, "MANIFEST_MERGE_AT", 2)
+    lk = LakeState(str(tmp_path / "lk"))
+    if reader == "chunk_done_records":
+        d = os.path.join(lk.root, "_chunks")
+
+        def write(lo, hi):
+            lk.write_chunk_done(lo, hi, {"lo": lo, "hi": hi})
+
+        def roll():
+            lk.compact_chunk_markers(2)
+    else:
+        d = lk.commit_dir("docs", 0)
+
+        def write(lo, hi):
+            lk.try_commit("docs", 0, lo, hi, _tbl(hi), COUNTS, kind="delta")
+
+        def roll():
+            lk.compact_manifests("docs", 0, 2)
+    for i in range(4):
+        write(i * 10 + 1, (i + 1) * 10)
+        if rolled == "manifests" and i % 2:
+            roll()  # two level-0 manifests; the mid-read roll merges them
+    fired = _roll_mid_read(monkeypatch, d, roll)
+    if reader == "list_commits":
+        got = [c["seq_hi"] for c in lk.list_commits("docs", 0)]
+    elif reader == "commit_record":
+        got = [lk.commit_record("docs", 0, "commit-%012d-%012d.json"
+                                % (1, 10))["seq_hi"]]
+    else:
+        recs = lk.chunk_done_records()
+        got = [recs[os.path.basename(lk.chunk_marker(i * 10 + 1,
+                                                     (i + 1) * 10))]["hi"]
+               for i in range(4)]
+    assert fired, "the rollup never ran mid-read"
+    assert got == ([10] if reader == "commit_record" else [10, 20, 30, 40])
+    left = os.listdir(d)
+    assert len(left) == 1 and "manifest-" in left[0], left
 
 
 def test_manifest_config_roundtrip():

@@ -202,6 +202,61 @@ def test_retry_policy_same_at_every_window(tmp_log, tmp_lake, monkeypatch,
     assert res["metrics"]["total"]["dml_events"] == 2000 + 120
 
 
+def test_lineage_follows_commit_after_retry(tmp_log, tmp_lake, monkeypatch):
+    """A merge that dies between its commit record and its lineage write
+    is retried into the commit-exists skip path.  In the LAST chunk no
+    later merge touches that partition, so the skip itself must bring
+    the lineage up to the partition's latest commit."""
+    from deltaray.assess import validate_lake
+
+    write_event_log(tmp_log, n_docs=120, n_events=2000, seed=31,
+                    segment_max_events=300)
+    cfg = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=4,
+                       chunk_max_events=400,
+                       retry=RetryConfig(max_duration_seconds=60,
+                                         delay_seconds=0.01))
+    session = ReplaySession(cfg)
+    last = [c for c in session.chunks if c.kind != "ddl"][-1]
+    flag = os.path.join(tmp_log, "_injected_failure")
+    real_plan = ReplaySession._plan_chunk
+
+    def plan(self, chunk):
+        p = real_plan(self, chunk)
+        if p is None or chunk.seq_lo != last.seq_lo:
+            return p
+        files, columns, stage, merge, n_shards = p
+
+        def flaky_merge(tbl, _merge=merge, _flag=flag):
+            from deltaray.commit import LakeState
+            real = LakeState.write_lineage
+
+            def write_lineage(lake, *args):
+                if not os.path.exists(_flag):
+                    open(_flag, "w").close()
+                    raise RuntimeError("injected lineage failure")
+                return real(lake, *args)
+
+            LakeState.write_lineage = write_lineage
+            try:
+                return _merge(tbl)
+            finally:
+                LakeState.write_lineage = real
+
+        return files, columns, stage, flaky_merge, n_shards
+
+    monkeypatch.setattr(ReplaySession, "_plan_chunk", plan)
+    res = session.run()
+    assert os.path.exists(flag), "injection never fired"
+    assert res["metrics"]["errors"] == 1
+    oracle = replay_oracle(cfg)
+    ok, msg = tables_equal(read_table(tmp_lake, "docs"), oracle["docs"])
+    assert ok, msg
+    rep = validate_lake(tmp_lake)
+    assert rep["ok"], rep["errors"]
+    assert lineage_report(tmp_lake, "docs")["tables"]["docs"][
+        "min_committed_seq"] == last.seq_hi
+
+
 def test_schema_evolution(tmp_log, tmp_lake):
     """ALTER_TABLE add lang:string; RENAME_COLUMN source→origin; subsequent
     DMLs use the new schema; Arrow schema unification per partition
