@@ -304,7 +304,7 @@ def stats_disjoint_any(stats: dict, conjuncts: list[tuple]) -> bool:
                for col, lo, hi in conjuncts)
 
 
-def _base_row_groups(path: str, prune: list[tuple]) -> list[int] | None:
+def _base_row_groups(src, prune: list[tuple]) -> list[int] | None:
     """Row groups of a BASE parquet file whose parquet min/max statistics
     could satisfy EVERY conjunct in ``prune`` (a list of ``(col, lo,
     hi)`` closed intervals, None = unbounded — AND semantics: a group
@@ -316,8 +316,8 @@ def _base_row_groups(path: str, prune: list[tuple]) -> list[int] | None:
     the file-level skip in :meth:`LakeState.read_partition` applies — a
     skipped row group of the base holds only rows whose current version
     either lives in an always-read delta or provably fails the caller's
-    exact filter."""
-    md = pq.ParquetFile(path).metadata
+    exact filter.  ``src``: a path or an open ``pq.ParquetFile``."""
+    md = _parquet_file(src).metadata
     keep, any_skip = [], False
     for g in range(md.num_row_groups):
         rg = md.row_group(g)
@@ -344,6 +344,39 @@ def _base_row_groups(path: str, prune: list[tuple]) -> list[int] | None:
         else:
             keep.append(g)
     return keep if any_skip else None
+
+
+def _parquet_file(src) -> pq.ParquetFile:
+    return src if isinstance(src, pq.ParquetFile) else pq.ParquetFile(src)
+
+
+def read_data_file(src, columns: list[str] | None = None,
+                   row_groups: list[int] | None = None) -> pa.Table:
+    """The one lake data-file reader.  ``src`` is a path or an open
+    ``pq.ParquetFile``: a caller that first needs the file's schema
+    (``schema_arrow``, embedded ``SCHEMA_META_KEY`` included) or its
+    row-group stats opens the file once and passes the handle.  Reads
+    ``columns`` (None = all) of ``row_groups`` (None = all); the result
+    keeps the embedded schema metadata.  ``ParquetFile`` skips the
+    ``pyarrow.dataset`` layer ``pq.read_table`` goes through, which
+    costs about as much again as the decode on lake-sized files."""
+    pf = _parquet_file(src)
+    if row_groups is not None:
+        return pf.read_row_groups(row_groups, columns=columns)
+    return pf.read(columns=columns)
+
+
+def filter_to_keys(t: pa.Table, keyed: tuple) -> pa.Table:
+    """One data file's rows for a point lookup.  ``keyed`` is the
+    caller's ``(schema, keep)``: its read schema and its key filter
+    (``pipeline._route_keys``).  ``t`` is evolved to ``schema`` FIRST
+    and only then filtered: a RENAME_COLUMN can rename a primary-key
+    column, so an older file may hold the key under a name ``keep``
+    does not know."""
+    from deltaray.merge import evolve_to  # merge imports this module
+
+    schema, keep = keyed
+    return keep(evolve_to(t, schema))
 
 
 def live_window(commits: list[dict], truncs: list[int],
@@ -712,7 +745,10 @@ class LakeState:
                        columns: list[str] | None = None,
                        min_seq_hi: int | None = None,
                        prune: tuple | None = None,
-                       io_stats: dict | None = None) -> tuple[pa.Table | None, int]:
+                       io_stats: dict | None = None, *,
+                       keyed: tuple | None = None,
+                       live: list[dict] | None = None,
+                       ) -> tuple[pa.Table | None, int]:
         """Current state of a partition, merged-on-read: the last base
         file plus subsequent delta files, unified to the newest embedded
         schema and LWW-reduced per key.  Returns (table_or_None,
@@ -737,11 +773,31 @@ class LakeState:
         anyway.  Delta files are NEVER skipped: a skipped delta could
         lose a key's newest version and resurrect a stale base row.
         ``io_stats`` (optional dict) accumulates {"files_read",
-        "files_pruned"} for observability/tests."""
-        commits = self._list_commits_raw(table, part)  # read-only here
-        live = live_window(commits, self.truncate_seqs(table), before_seq)
-        if before_seq is not None:
-            commits = [c for c in commits if c["seq_hi"] < before_seq]
+        "files_pruned"} for observability/tests.
+
+        ``keyed``: a point lookup's ``(schema, keep)`` — its read schema
+        and its key filter (``pipeline._route_keys``).  Each live file
+        is evolved to ``schema`` and then filtered by ``keep``
+        (:func:`filter_to_keys`; the filter runs after ``evolve_to``
+        because a RENAME_COLUMN can rename a key column), and only the
+        surviving rows are concatenated and LWW-reduced; the result is
+        stamped with ``schema``.  Exact because LWW is per key: the
+        filter keeps every version and every tombstone of each wanted
+        key, so the reduce picks the same winner as over whole files.
+        Every live file is still read; nothing is skipped.
+
+        ``live``: the partition's live commits as the caller's as-of
+        gate already listed them (``live_window`` at ``before_seq``),
+        so the partition is not listed again; ``committed_hi`` is then
+        the newest live commit's seq_hi (0 when none)."""
+        if live is None:
+            commits = self._list_commits_raw(table, part)  # read-only here
+            live = live_window(commits, self.truncate_seqs(table),
+                               before_seq)
+            if before_seq is not None:
+                commits = [c for c in commits if c["seq_hi"] < before_seq]
+        else:
+            commits = live
         if not commits:
             return None, 0
         hi = int(commits[-1]["seq_hi"])
@@ -759,17 +815,17 @@ class LakeState:
             live = live[1:]
             if io_stats is not None:
                 io_stats["files_pruned"] = io_stats.get("files_pruned", 0) + 1
-        paths = [os.path.join(self.part_dir(table, part), c["file"])
-                 for c in live]
+        pfs = [pq.ParquetFile(os.path.join(self.part_dir(table, part),
+                                           c["file"])) for c in live]
         # finer grain than the file-level skip: drop BASE row groups the
         # parquet stats prove disjoint (effective once optimize_table has
         # sorted the base on the predicate column)
         rg_keep = None
         if prune is not None and live \
                 and live[0].get("kind", "base") == "base":
-            rg_keep = _base_row_groups(paths[0], prune)
+            rg_keep = _base_row_groups(pfs[0], prune)
             if rg_keep == []:
-                live, paths, rg_keep = live[1:], paths[1:], None
+                live, pfs, rg_keep = live[1:], pfs[1:], None
                 if io_stats is not None:
                     io_stats["files_pruned"] = \
                         io_stats.get("files_pruned", 0) + 1
@@ -782,39 +838,34 @@ class LakeState:
             return None, hi
         use_cols = None
         if columns is not None:
-            fschemas = [pq.read_schema(p) for p in paths]
+            fschemas = [pf.schema_arrow for pf in pfs]
             metas = {(fs.metadata or {}).get(SCHEMA_META_KEY)
                      for fs in fschemas}
             if len(metas) == 1 and all(
                 c in fschemas[0].names for c in columns
             ):
                 use_cols = list(columns)
-        def _read(i: int, p: str) -> pa.Table:
-            if i == 0 and rg_keep is not None:
-                return pq.ParquetFile(p).read_row_groups(
-                    rg_keep, columns=use_cols)
-            return pq.read_table(p, columns=use_cols)
-
-        tbls = [_read(i, p) for i, p in enumerate(paths)]
-        if len(tbls) == 1:
-            return tbls[0], hi
+        tbls = [read_data_file(pf, use_cols,
+                               rg_keep if i == 0 else None)
+                for i, pf in enumerate(pfs)]
         # lazy imports: merge/transforms import this module at load time
         from deltaray.merge import evolve_to
         from deltaray.transforms import lww_reduce
 
-        metas = [TableSchema.from_json(
-            (t.schema.metadata or {})[SCHEMA_META_KEY].decode())
-            for t in tbls]
-        target = max(metas, key=lambda m: m.version_seq)
-        order = None
-        unified = []
-        for t in tbls:
-            t = evolve_to(t, target)
-            if order is None:
-                order = t.column_names
-            unified.append(t.select(order))
-        merged = lww_reduce(
-            pa.concat_tables(unified, promote_options="none"), target.keys)
+        if keyed is not None:
+            target = keyed[0]
+            tbls = [filter_to_keys(t, keyed) for t in tbls]
+        else:
+            if len(tbls) == 1:
+                return tbls[0], hi
+            target = max((TableSchema.from_json(
+                (t.schema.metadata or {})[SCHEMA_META_KEY].decode())
+                for t in tbls), key=lambda m: m.version_seq)
+            tbls = [evolve_to(t, target) for t in tbls]
+        order = tbls[0].column_names
+        merged = tbls[0] if len(tbls) == 1 else lww_reduce(
+            pa.concat_tables([t.select(order) for t in tbls],
+                             promote_options="none"), target.keys)
         # evolve_to rebuilds tables WITHOUT the embedded schema metadata —
         # re-stamp it, or a later evolve_to (e.g. merge applying a DDL on
         # top of this state) cannot resolve rename chains and would null

@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from deltaray.commit import SCHEMA_META_KEY, LakeState
+from deltaray.commit import SCHEMA_META_KEY, LakeState, read_data_file
 from deltaray.schemas import TableSchema, code_to_type
 from deltaray.transforms import lww_reduce, version_col_names
 from deltaray.util import cluster_sort
@@ -222,14 +222,16 @@ def _slim_partition_state(lake: LakeState, table: str, part: int,
     cols = list(dict.fromkeys([*schema.keys, *vnames]))
     tbls = []
     for c in recs:
-        path = os.path.join(lake.part_dir(table, part), c["file"])
-        fschema = pq.read_schema(path)
+        pf = pq.ParquetFile(os.path.join(lake.part_dir(table, part),
+                                         c["file"]))
+        fschema = pf.schema_arrow
         if (fschema.metadata or {}).get(SCHEMA_META_KEY) != want_meta:
             return "drift"
         if any(col not in fschema.names for col in cols):
             return "drift"
-        tbls.append(pq.read_table(path, columns=cols))
-    t = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1         else tbls[0]
+        tbls.append(read_data_file(pf, cols))
+    t = pa.concat_tables(tbls, promote_options="none") if len(tbls) > 1 \
+        else tbls[0]
     return lww_reduce(t, schema.keys)
 
 

@@ -44,7 +44,8 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from deltaray.commit import (LAKE_FORMAT_VERSION, LakeState, atomic_write_json,
-                             check_lake_format, live_window, record_seq_hi,
+                             check_lake_format, filter_to_keys, live_window,
+                             read_data_file, record_seq_hi,
                              stats_disjoint_any)
 from deltaray.config import ReplayConfig
 from deltaray.merge import (commit_partition, evolve_to, make_merge_fn,
@@ -194,17 +195,25 @@ def _cancel_refs(refs: list, timeout_s: float = 30.0) -> None:
     refs to settle so no orphan merge races a restarted replay's re-run
     of the same chunks (write-once commits make even that race benign —
     deterministic content, atomic rename — but the window should not
-    outlive the driver call)."""
+    outlive the driver call).  Only refs still pending are cancelled:
+    a recursive cancel of an already finished task is not needed and
+    is a path Ray has been seen to crash on."""
     import ray
 
-    for r in refs:
+    if not refs:
+        return
+    try:
+        _, pending = ray.wait(list(refs), num_returns=len(refs), timeout=0)
+    except Exception:
+        pending = list(refs)
+    for r in pending:
         try:
             ray.cancel(r, recursive=True)
         except Exception:
             pass
-    if refs:
+    if pending:
         try:
-            ray.wait(list(refs), num_returns=len(refs), timeout=timeout_s)
+            ray.wait(pending, num_returns=len(pending), timeout=timeout_s)
         except Exception:
             pass
 
@@ -1339,8 +1348,13 @@ def read_rows(lake_root: str, table: str, keys: list, generation: int = 0,
 
     Partition routing replays the engine's own partitioner
     (``stable_hash_cols % num_partitions`` from the generation meta), so
-    it is exact, not probabilistic.  Driver-side by design: lookups are
-    small; use ``read_table_ds`` for scans."""
+    it is exact, not probabilistic.  The merge-on-read is key-filtered
+    (``LakeState.read_partition(keyed=...)``): each live file is evolved
+    to the read schema, then filtered to the keys (after ``evolve_to``:
+    a RENAME_COLUMN can rename a key column), then LWW-reduced — exact,
+    as LWW is per key.  An as-of lookup hands the gate's live list to
+    the read, so each partition is listed once.  Driver-side by design:
+    lookups are small; use ``read_table_ds`` for scans."""
     lake, before, schema = _read_scope(lake_root, table, generation,
                                        asof_seq, columns)
     if schema is None:
@@ -1358,18 +1372,20 @@ def read_rows(lake_root: str, table: str, keys: list, generation: int = 0,
                                                    schema.column_names())
     out = []
     for p in parts:
-        if before is not None:
-            _live_parts_asof_one(lake, table, p, before)
+        live = (None if before is None
+                else _live_parts_asof_one(lake, table, p, before))
         tbl, _ = lake.read_partition(table, p, before_seq=before,
-                                     columns=phys)
-        if tbl is None or not tbl.num_rows:
+                                     columns=phys, keyed=(schema, keep),
+                                     live=live)
+        if tbl is None:
             continue
-        t = keep(strip_internal(evolve_to(tbl, schema)))
+        t = strip_internal(tbl)
         if t.num_rows:
             out.append(t.select(want))
     if not out:
         return out_schema.empty_table()
-    res = pa.concat_tables(out)
+    # the schema stamp is the merge-on-read's, not part of the result
+    res = pa.concat_tables(out).replace_schema_metadata()
     return res.sort_by([(k, "ascending") for k in key_cols])
 
 
@@ -1383,7 +1399,11 @@ def read_history(lake_root: str, table: str, keys: list,
     ``valid_to_seq`` (the key's next version's seq, null while open)
     and ``is_current`` (the live state).  Routed like
     :func:`read_rows`: only the keys' hash partitions' live
-    merge-on-read files are read, never a table scan.
+    merge-on-read files are read, never a table scan.  Each file takes
+    the same per-file step as a point lookup
+    (``commit.filter_to_keys``): evolve to the read schema, then keep
+    the keys' rows — in that order, because a RENAME_COLUMN can rename
+    a key column — with no LWW, so every stored version survives.
 
     Granularity and retention: the lake stores one version per key per
     COMMITTED CHUNK (chunk-level LWW — intra-chunk intermediates were
@@ -1423,8 +1443,8 @@ def read_history(lake_root: str, table: str, keys: list,
     for p in parts:
         pdir = lake.part_dir(table, p)
         for c in lake.live_commits(table, p):
-            t = keep(evolve_to(pq.read_table(os.path.join(pdir, c["file"])),
-                               schema))
+            t = filter_to_keys(read_data_file(os.path.join(pdir, c["file"])),
+                               (schema, keep))
             if t.num_rows:
                 collected.append(t.select(keep_cols))
     if not collected:

@@ -223,8 +223,9 @@ def test_read_rows_point_lookups(ray_session, tmp_log, tmp_lake):
 def test_point_lookup_lists_each_partition_once(ray_session, tmp_log,
                                                 tmp_lake, monkeypatch):
     """The as-of gate and read_partition share listings instead of
-    re-listing: a head point lookup lists each routed partition's commits
-    once, an as-of lookup at most twice (the gate, then the read)."""
+    re-listing: a point lookup lists each routed partition's commits
+    once, at head and as of an anchor (the gate's live list is the
+    read's)."""
     from collections import Counter
 
     from deltaray import read_rows
@@ -247,7 +248,7 @@ def test_point_lookup_lists_each_partition_once(ray_session, tmp_log,
     assert calls and max(Counter(calls).values()) == 1, Counter(calls)
     calls.clear()
     read_rows(tmp_lake, "docs", keys, asof_seq=snapshots(tmp_lake)[-2])
-    assert calls and max(Counter(calls).values()) <= 2, Counter(calls)
+    assert calls and max(Counter(calls).values()) == 1, Counter(calls)
 
 
 def test_read_rows_composite_keys(ray_session, tmp_log, tmp_lake):
