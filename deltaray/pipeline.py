@@ -31,6 +31,7 @@ chunks in order; ``DeltaFailureError`` aborts immediately
 from __future__ import annotations
 
 import dataclasses
+import functools
 import glob
 import json
 import os
@@ -919,10 +920,10 @@ def reshard_generation(lake_root: str, new_num_partitions: int,
     consistent with physical retention.
 
     One streaming pass per table: src partitions are merge-on-read
-    units (one read task each), the exchange moves every row exactly
+    units, read with one block and one task per partition through
+    :func:`_per_partition` (each reads the commit list the as-of gate
+    checked at the watermark), the exchange moves every row exactly
     once, base commits are written partition-parallel."""
-    import ray.data
-
     from deltaray.commit import latest_generation
 
     src = LakeState(lake_root, src_generation)
@@ -967,28 +968,22 @@ def reshard_generation(lake_root: str, new_num_partitions: int,
         # unfinished chunk has no marker, so the tail replay re-applies
         # it idempotently on top.  _live_parts_asof also verifies the
         # cut's files still exist (compaction past wm on a live lake →
-        # honest SnapshotExpiredError: quiesce the replay first).
-        parts = _live_parts_asof(src, table, wm + 1)
-        if not parts:
+        # honest SnapshotExpiredError: quiesce the replay first), and
+        # its lists are the ones the reads use.
+        live_of = _live_parts_asof(src, table, wm + 1)
+        if not live_of:
             results[table] = {"rows": 0, "partitions": 0,
                               "snapshot_seq": wm}
             continue
-        def load_raw(batch: pa.Table) -> pa.Table:
+
+        def load_raw(p: int) -> pa.Table | None:
             """One src partition's merged RAW state, evolved to the
             current schema (internal columns preserved)."""
-            out = []
-            for p in batch["part"].to_pylist():
-                tbl, _ = src.read_partition(table, p, before_seq=wm + 1)
-                if tbl is not None and tbl.num_rows:
-                    out.append(evolve_to(tbl, schema))
-            if not out:
-                return pa.table({})
-            return pa.concat_tables(out, promote_options="default")
+            tbl, _ = src.read_partition(table, p, before_seq=wm + 1,
+                                        live=live_of[p])
+            return None if tbl is None else evolve_to(tbl, schema)
 
-        src_ds = ray.data.from_arrow(
-            pa.table({"part": pa.array(parts, pa.int64())})) \
-            .repartition(len(parts)) \
-            .map_batches(load_raw, batch_format="pyarrow", batch_size=1)
+        src_ds = _per_partition(list(live_of), load_raw, None)
         # rows are already per-key-unique (a key lives in exactly one
         # src partition, which read_partition LWW-reduced), so the load's
         # reduce keeps every row: the exchange only re-buckets them
@@ -1090,11 +1085,15 @@ def _schema_asof(lake: LakeState, table: str, seq: int | None):
 
 
 def _live_parts_asof(lake: LakeState, table: str,
-                     before: int | None) -> list[int]:
-    """Partitions with live commits (as of ``before``), each through the
-    as-of gate of :func:`_live_parts_asof_one`."""
-    return [p for p in lake.partitions(table)
-            if _live_parts_asof_one(lake, table, p, before)]
+                     before: int | None) -> dict[int, list[dict]]:
+    """``{part: live commits}`` for the partitions with live commits (as
+    of ``before``), each through the as-of gate of
+    :func:`_live_parts_asof_one`.  An as-of read hands each gate-checked
+    list to ``read_partition(live=...)``, so every partition is listed
+    once per read; a head read lists again inside its task, so a
+    compaction + vacuum that lands in between is still seen."""
+    return {p: live for p in lake.partitions(table)
+            if (live := _live_parts_asof_one(lake, table, p, before))}
 
 
 def _live_parts_asof_one(lake: LakeState, table: str, part: int,
@@ -1202,6 +1201,41 @@ def earliest_snapshot(lake_root: str, table: str,
 
 
 # ------------------------------------------------------------------ reads
+def _per_partition(parts: list[int], fn, out_schema: pa.Schema | None,
+                   parts_per_task: int = 1):
+    """The one partition-parallel Ray Data job: one block and one map
+    task per ``parts_per_task`` partitions, no all-to-all stage.  Each
+    task calls ``fn(p)`` (a table or None) for its partitions and
+    concatenates the non-empty results.  The Dataset's schema is
+    declared as ``out_schema``, so ``schema()`` and ``to_arrow_refs()``
+    do not rerun the job under a ``limit(1)`` whose shutdown cancels
+    its running tasks, and an empty result (``parts`` empty included)
+    is its empty table; None (reshard's raw rows) leaves it untyped.
+    The batch UDF carries ``fn``'s name (``functools.wraps``), so Ray
+    Data's operator names and name-matching tracing see the caller."""
+    import ray.data
+
+    empty = pa.table({}) if out_schema is None else out_schema.empty_table()
+    if not parts:
+        return ray.data.from_arrow(empty)
+
+    @functools.wraps(fn)
+    def run(batch: pa.Table) -> pa.Table:
+        out = [t for t in map(fn, batch["part"].to_pylist())
+               if t is not None and t.num_rows]
+        if not out:
+            return empty
+        return pa.concat_tables(out, promote_options="default")
+
+    ds = ray.data.from_items(
+        [{"part": p} for p in parts],
+        override_num_blocks=-(-len(parts) // parts_per_task)) \
+        .map_batches(run, batch_format="pyarrow", batch_size=parts_per_task)
+    if out_schema is not None:
+        ds._plan.cache_schema(out_schema)  # Ray Data has no public setter
+    return ds
+
+
 def _read_scope(lake_root: str, table: str, generation: int,
                 asof_seq: int | None, columns: list[str] | None):
     """The preamble every table read shares: ``(lake, before, schema)``.
@@ -1323,12 +1357,18 @@ def read_table(lake_root: str, table: str, generation: int = 0,
         out_schema = out_schema.append(pa.field("prev_tokens",
                                                 pa.list_(pa.int32())))
     parts = []
-    for part in _live_parts_asof(lake, table, before):
-        tbl, _ = lake.read_partition(table, part, before_seq=before)
-        if tbl is not None and tbl.num_rows:
-            parts.append(strip_internal(evolve_to(tbl, schema),
-                                        with_previous=with_previous)
-                         .select(out_schema.names))
+    for part, live in _live_parts_asof(lake, table, before).items():
+        tbl, _ = lake.read_partition(table, part, before_seq=before,
+                                     live=None if before is None else live)
+        if tbl is None or not tbl.num_rows:
+            continue
+        t = strip_internal(evolve_to(tbl, schema),
+                           with_previous=with_previous) \
+            .select(out_schema.names)
+        # tombstones only: skip, so an empty read is out_schema's like
+        # read_rows' (files name list items "element", out_schema "item")
+        if t.num_rows:
+            parts.append(t)
     if not parts:
         return out_schema.empty_table()
     out = pa.concat_tables(parts)
@@ -1511,9 +1551,10 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
                   asof_seq: int | None = None,
                   predicate: tuple | None = None,
                   io_stats_out: dict | None = None):
-    """Streaming read of a table's current state as a ray.data.Dataset:
-    one task per partition performs the merge-on-read (base + delta files
-    → LWW reduce) and strips engine columns, so downstream operators see
+    """Streaming read of a table's current state as a ray.data.Dataset,
+    one block and one task per partition through :func:`_per_partition`:
+    each task performs the merge-on-read (base + delta files → LWW
+    reduce) and strips engine columns, so downstream operators see
     exactly the live rows regardless of compaction state.
 
     ``columns`` prunes the payload at the parquet read (key + version
@@ -1522,8 +1563,8 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
 
     ``asof_seq``: time travel to a committed snapshot boundary (see
     :func:`read_table`); partition availability is checked against the
-    vacuum state up front (driver-side metadata), the data reads stay
-    one streaming task per partition.
+    vacuum state up front (driver-side metadata), and each task reads
+    the commit list that check listed, so a partition is listed once.
 
     ``predicate``: one ``(col, op, literal)`` conjunct or a LIST of
     them (AND semantics), op in ==/</<=/>/>= — rows are exact-filtered
@@ -1536,20 +1577,19 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
     matching files/row groups only, no full scan.  ``io_stats_out``
     (optional dict) receives {"files_read", "files_pruned",
     "parts_pruned"} totals."""
-    import ray.data
-
     lake, before, schema = _read_scope(lake_root, table, generation,
                                        asof_seq, columns)
     if schema is None:
+        import ray.data
+
         return ray.data.from_arrow(
             lake.schemas_for(table)[0].arrow_schema().empty_table())
     out_schema = schema.arrow_schema()
     if with_previous:
         out_schema = out_schema.append(pa.field("prev_tokens",
                                                 pa.list_(pa.int32())))
-    parts = _live_parts_asof(lake, table, before)
-    if not parts:
-        return ray.data.from_arrow(out_schema.empty_table())
+    live_of = _live_parts_asof(lake, table, before)
+    parts = list(live_of)
     sj = schema.to_json()
     # generation meta, read once per call (ordering / partitioner /
     # sort-key width all come from it)
@@ -1604,8 +1644,6 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
                     io_stats_out.get("parts_pruned", 0)
                     + len(parts) - len(routed))
             parts = routed
-            if not parts:
-                return ray.data.from_arrow(out_schema.empty_table())
         # zone maps are keyed by column names AT WRITE TIME; a rename
         # chain could alias an old column's stats onto a new column's
         # name, so stats-based skipping is disabled entirely on renamed
@@ -1620,10 +1658,9 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
                     io_stats_out.setdefault(k, 0)
             kept = []
             for p in parts:
-                live = lake.live_commits(table, p, before)
-                if live and all(stats_disjoint_any(c.get("stats", {}),
-                                                   intervals)
-                                for c in live):
+                live = live_of[p]
+                if all(stats_disjoint_any(c.get("stats", {}), intervals)
+                       for c in live):
                     # ordering-independent whole-partition skip: every
                     # CURRENT row is a row of SOME live file, and each
                     # live file provably fails SOME conjunct — so every
@@ -1635,7 +1672,7 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
                     continue
                 kept.append(p)
                 if io_stats_out is not None:
-                    skip_base = (prune is not None and live
+                    skip_base = (prune is not None
                                  and live[0].get("kind", "base") == "base"
                                  and stats_disjoint_any(
                                      live[0].get("stats", {}), intervals))
@@ -1643,33 +1680,24 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
                     io_stats_out["files_read"] += \
                         len(live) - (1 if skip_base else 0)
             parts = kept
-            if not parts:
-                return ray.data.from_arrow(out_schema.empty_table())
 
-    def load(batch: pa.Table) -> pa.Table:
-        target = TableSchema.from_json(sj)
-        out = []
-        for p in batch["part"].to_pylist():
-            tbl, _ = LakeState(lake_root, generation).read_partition(
-                table, p, before_seq=before, columns=phys, prune=prune)
-            if tbl is None or not tbl.num_rows:
-                continue
-            t = strip_internal(evolve_to(tbl, target),
-                               with_previous=with_previous) \
-                .select(out_schema.names)
-            if conjuncts is not None:
-                # exact filter — the zone maps only ever SKIP IO, never
-                # decide membership (SQL WHERE semantics: nulls drop)
-                for c, op, lit in conjuncts:
-                    t = t.filter(_PRED_OPS[op](t[c], lit))
-            if t.num_rows:
-                out.append(t)
-        if not out:
-            return out_schema.empty_table()
-        return pa.concat_tables(out, promote_options="default")
+    def load(p: int) -> pa.Table | None:
+        tbl, _ = LakeState(lake_root, generation).read_partition(
+            table, p, before_seq=before, columns=phys, prune=prune,
+            live=None if before is None else live_of[p])
+        if tbl is None or not tbl.num_rows:
+            return None
+        t = strip_internal(evolve_to(tbl, TableSchema.from_json(sj)),
+                           with_previous=with_previous) \
+            .select(out_schema.names)
+        if conjuncts is not None:
+            # exact filter — the zone maps only ever SKIP IO, never
+            # decide membership (SQL WHERE semantics: nulls drop)
+            for c, op, lit in conjuncts:
+                t = t.filter(_PRED_OPS[op](t[c], lit))
+        return t
 
-    ds = ray.data.from_arrow(pa.table({"part": pa.array(parts, pa.int64())}))
-    return ds.repartition(len(parts))         .map_batches(load, batch_format="pyarrow", batch_size=1)
+    return _per_partition(parts, load, out_schema)
 
 
 def optimize_table(lake_root: str, table: str, cluster_by: str | list[str],
@@ -1680,7 +1708,8 @@ def optimize_table(lake_root: str, table: str, cluster_by: str | list[str],
     column linearly sorts each partition; a LIST of columns sorts by
     the Morton/Z-order interleave of their ranks, so predicates on ANY
     of them (and conjunctions across them) prune row groups.
-    One Ray task per partition: merge-on-read the current state, sort it
+    One block and one task per partition through
+    :func:`_per_partition`: merge-on-read the current state, sort it
     by ``cluster_by``, write ONE clustered base commit at the partition's
     watermark (small row groups so parquet min/max statistics are
     fine-grained), vacuum the superseded files.  The commit goes through
@@ -1703,8 +1732,6 @@ def optimize_table(lake_root: str, table: str, cluster_by: str | list[str],
     :func:`expire_snapshots` afterwards, which keeps exactly the files
     the retained anchors need instead of keeping only the new base.
     """
-    import ray.data
-
     lake = LakeState(lake_root, generation)
     # writes clustered base commits + vacuums superseded files — gate
     # against newer-format lakes like the other destructive paths
@@ -1717,42 +1744,33 @@ def optimize_table(lake_root: str, table: str, cluster_by: str | list[str],
     unknown = [c for c in cluster_cols if c not in schema.column_names()]
     if unknown:
         raise KeyError(f"unknown cluster column(s) {unknown!r}")
-    parts = _live_parts_asof(lake, table, None)
+    parts = list(_live_parts_asof(lake, table, None))
     if not parts:
         return {"table": table, "partitions": 0, "rows": 0,
                 "files_removed": 0, "already_clustered": 0}
+    summary = pa.schema([("part", pa.int64()), ("rows", pa.int64()),
+                         ("removed", pa.int64()), ("already", pa.bool_())])
 
-    def opt(batch: pa.Table) -> pa.Table:
-        rows = {"part": [], "rows": [], "removed": [], "already": []}
-        for p in batch["part"].to_pylist():
-            lk = LakeState(lake_root, generation)
-            tbl, hi = lk.read_partition(table, p)
-            if tbl is None or not tbl.num_rows:
-                continue
-            # one more base commit at the watermark, through the shared
-            # commit tail: it clusters the state and the lineage record
-            # follows the new base
-            rec = commit_partition(
-                lk, table, p, hi, hi, tbl,
-                {"inserts": 0, "updates": 0, "deletes": 0, "bytes_in": 0,
-                 "late_events": 0},
-                cluster_by=cluster_by, row_group_rows=row_group_rows,
-                vacuum=vacuum, tag="opt")
-            rows["part"].append(p)
-            rows["rows"].append(int(rec["rows"]))
-            rows["removed"].append(len(rec.get("vacuumed", [])))
-            rows["already"].append(bool(rec.get("replayed")))
-        return pa.table({
-            "part": pa.array(rows["part"], pa.int64()),
-            "rows": pa.array(rows["rows"], pa.int64()),
-            "removed": pa.array(rows["removed"], pa.int64()),
-            "already": pa.array(rows["already"], pa.bool_()),
-        })
+    def opt(p: int) -> pa.Table | None:
+        lk = LakeState(lake_root, generation)
+        tbl, hi = lk.read_partition(table, p)
+        if tbl is None or not tbl.num_rows:
+            return None
+        # one more base commit at the watermark, through the shared
+        # commit tail: it clusters the state and the lineage record
+        # follows the new base
+        rec = commit_partition(
+            lk, table, p, hi, hi, tbl,
+            {"inserts": 0, "updates": 0, "deletes": 0, "bytes_in": 0,
+             "late_events": 0},
+            cluster_by=cluster_by, row_group_rows=row_group_rows,
+            vacuum=vacuum, tag="opt")
+        return pa.Table.from_pylist(
+            [{"part": p, "rows": int(rec["rows"]),
+              "removed": len(rec.get("vacuumed", [])),
+              "already": bool(rec.get("replayed"))}], schema=summary)
 
-    ds = ray.data.from_arrow(pa.table({"part": pa.array(parts, pa.int64())}))
-    res = ds.repartition(len(parts)) \
-        .map_batches(opt, batch_format="pyarrow", batch_size=1) \
-        .take_all()  # O(P) summary rows only
+    res = _per_partition(parts, opt, summary).take_all()  # O(P) rows
     return {
         "table": table,
         "partitions": len(res),
@@ -1762,9 +1780,12 @@ def optimize_table(lake_root: str, table: str, cluster_by: str | list[str],
     }
 
 
+# expire_snapshots fans out as Ray tasks only past this many partitions
+_EXPIRE_FANOUT_PARTS = 256
+
+
 def expire_snapshots(lake_root: str, table: str, retain_since_seq: int,
-                     generation: int = 0,
-                     distributed: bool | None = None) -> dict:
+                     generation: int = 0) -> dict:
     """Bounded time-travel retention — the Iceberg ``expire_snapshots``
     / Delta Lake ``VACUUM ... RETAIN`` analog, and the missing middle
     between ``vacuum=True`` (current state only, no history) and
@@ -1796,13 +1817,12 @@ def expire_snapshots(lake_root: str, table: str, retain_since_seq: int,
     history-retaining configuration this API pairs with is
     ``vacuum=False`` + a finite ``compact_every``.
 
-    ``distributed`` (default: auto — Ray tasks past 256 partitions,
-    driver-side below): the deletes are metadata-only, so a small lake's
-    expiry shouldn't pay a Ray job launch per call (it runs per chunk in
-    sliding-window mode), while a 10^5-partition lake on real storage
-    fans out one task per partition batch (same shape as
-    :func:`optimize_table`).  Either way the driver writes only the
-    O(1) ``_meta.json`` floor update.
+    Up to 256 partitions the deletes run driver-side: they are
+    metadata-only, so a small lake's expiry shouldn't pay a Ray job
+    launch per call (it runs per chunk in sliding-window mode).  Past
+    that, a 10^5-partition lake on real storage fans out one block and
+    one task per 16 partitions through :func:`_per_partition`.  Either
+    way the driver writes only the O(1) ``_meta.json`` floor update.
     Idempotent; run it between replay chunks (single writer per
     partition), e.g. from replay's ``on_chunk`` callback for a sliding
     retention window during continuous ingest.  ``read_changes`` pulls
@@ -1826,8 +1846,6 @@ def expire_snapshots(lake_root: str, table: str, retain_since_seq: int,
     if retain != 0:
         retain = _anchor_or_raise(lake_root, retain, generation)
     parts = lake.partitions(table)
-    removed_files = 0
-    removed_bytes = 0
 
     def _fname_seq(f: str) -> int:
         # data-<seq>[-opt].parquet — the embedded commit high-water
@@ -1844,7 +1862,9 @@ def expire_snapshots(lake_root: str, table: str, retain_since_seq: int,
             return -1
         return int(body[:i])
 
-    def _expire_part(p: int) -> tuple[int, int]:
+    summary = pa.schema([("removed", pa.int64()), ("bytes", pa.int64())])
+
+    def _expire_part(p: int) -> pa.Table:
         lk = LakeState(lake_root, generation)
         # ORDER MATTERS: the watermark must be read BEFORE the keep-set
         # listing.  An in-flight writer's file has seq_hi above the
@@ -1885,37 +1905,17 @@ def expire_snapshots(lake_root: str, table: str, retain_since_seq: int,
                 b += os.path.getsize(fp)
                 os.remove(fp)
                 n += 1
-        return n, b
+        return pa.table({"removed": [n], "bytes": [b]}, schema=summary)
 
+    res = []
     if parts and retain > 0:
-        if distributed is None:
-            distributed = len(parts) > 256
-        if not distributed:
-            for p in parts:
-                n, b = _expire_part(p)
-                removed_files += n
-                removed_bytes += b
+        if len(parts) > _EXPIRE_FANOUT_PARTS:
+            res = _per_partition(parts, _expire_part, summary,
+                                 parts_per_task=16).take_all()  # O(P) rows
         else:
-            import ray.data
-
-            def expire(batch: pa.Table) -> pa.Table:
-                out = {"removed": [], "bytes": []}
-                for p in batch["part"].to_pylist():
-                    n, b = _expire_part(p)
-                    out["removed"].append(n)
-                    out["bytes"].append(b)
-                return pa.table({
-                    "removed": pa.array(out["removed"], pa.int64()),
-                    "bytes": pa.array(out["bytes"], pa.int64()),
-                })
-
-            ds = ray.data.from_arrow(
-                pa.table({"part": pa.array(parts, pa.int64())}))
-            res = ds.repartition(max(1, len(parts) // 16)) \
-                .map_batches(expire, batch_format="pyarrow") \
-                .take_all()  # O(P) summary rows only
-            removed_files = int(sum(r["removed"] for r in res))
-            removed_bytes = int(sum(r["bytes"] for r in res))
+            res = [r for p in parts for r in _expire_part(p).to_pylist()]
+    removed_files = int(sum(r["removed"] for r in res))
+    removed_bytes = int(sum(r["bytes"] for r in res))
     # advance the floor (never backwards; reshard floors stay authoritative)
     meta_path = os.path.join(lake.root, "_meta.json")
     meta = _gen_meta(lake) or {}
@@ -2018,9 +2018,12 @@ def read_changes(lake_root: str, table: str, since_seq: int,
     writes the same marker at its seq, so a drop inside the window
     (with or without a later re-CREATE) also feeds its DELETEs — the
     dropped table reads as EMPTY, and the feed retires every anchor
-    key the re-created incarnation didn't re-insert."""
-    import ray.data
+    key the re-created incarnation didn't re-insert.
 
+    The feed is one block and one task per touched partition through
+    :func:`_per_partition`; an as-of pull's tasks, and the anchor reads
+    a TRUNCATE in the window adds, read the commit lists the as-of gate
+    checked, so each partition is listed once per anchor."""
     # the feed's anchor obeys the same retention contract as any as-of
     # read: a since_seq below the snapshot floor raises uniformly, even
     # when this particular expiry happened to delete no file the feed
@@ -2068,87 +2071,79 @@ def read_changes(lake_root: str, table: str, since_seq: int,
     # (read_table on a dropped table is EMPTY — the patch law then
     # requires the feed to retire all anchor keys).  A table already
     # dropped AT the anchor has trunc_hidden None and an empty live
-    # window, so it correctly yields an empty feed.
-    parts = []
+    # window, so it correctly yields an empty feed.  Per touched
+    # partition, keep the gate's live list at the pull's anchor and,
+    # with a TRUNCATE in the window, at since_seq.
+    gated = {}
     for p in lake.partitions(table):
         # the as-of gate checks only the files this pull will read:
         # pre-anchor files the ORDERED pruning skips may legitimately be
         # vacuumed away
         live = _live_parts_asof_one(lake, table, p, before, min_hi)
-        touched = any(since_seq < c["seq_hi"] for c in live)
         # the since-anchor state will actually be read: the same gate at
         # since_seq
-        if trunc_hidden is not None and _live_parts_asof_one(
-                lake, table, p, since_seq + 1):
-            touched = True
-        if touched:
-            parts.append(p)
-    if not parts:
-        return ray.data.from_arrow(out_schema.empty_table())
+        anchor = (None if trunc_hidden is None
+                  else _live_parts_asof_one(lake, table, p, since_seq + 1))
+        if anchor or any(since_seq < c["seq_hi"] for c in live):
+            gated[p] = (live, anchor)
     sj = schema.to_json()
 
-    def load(batch: pa.Table) -> pa.Table:
+    # a closure of read_changes: tracing matches the feed UDF by its
+    # qualified name, which _per_partition's batch UDF carries
+    def load(p: int) -> pa.Table | None:
         target = TableSchema.from_json(sj)
-        out = []
-        for p in batch["part"].to_pylist():
-            lk = LakeState(lake_root, generation)
-            tbl, _ = lk.read_partition(
-                table, p, before_seq=before, columns=phys,
-                min_seq_hi=min_hi)
-            t = None
-            if tbl is not None and tbl.num_rows:
-                t = evolve_to(tbl, target)
-                t = t.filter(pc.greater(pc.fill_null(t["__seq"], 0),
-                                        since_seq))
-                deleted = pc.fill_null(t["__deleted"], False)
-                change = pc.if_else(deleted, pa.scalar("DELETE"),
-                                    pa.scalar("UPSERT"))
-                seq = t["__seq"].cast(pa.int64())
-                t = t.drop_columns([c for c in t.column_names
-                                    if c.startswith("__")])
-                t = t.append_column("change", change) \
-                    .append_column("seq", seq).select(out_schema.names)
-            if trunc_hidden is not None:
-                # keys live at the anchor that the marker wiped and the
-                # feed does not otherwise name → synthetic DELETE rows
-                old, _ = lk.read_partition(table, p,
-                                           before_seq=since_seq + 1,
-                                           columns=anchor_phys)
-                if old is not None and old.num_rows:
-                    old = evolve_to(old, target)
-                    alive = old.filter(pc.equal(
-                        pc.fill_null(old["__deleted"], False), False))
-                    keycols = list(target.keys)
-                    oldk = alive.select(keycols)
-                    if t is not None and t.num_rows:
-                        oldk = oldk.join(t.select(keycols), keys=keycols,
-                                         join_type="left anti")
-                    n = oldk.num_rows
-                    if n:
-                        arrs = []
-                        for f in out_schema:
-                            if f.name in keycols:
-                                arrs.append(oldk[f.name])
-                            elif f.name == "change":
-                                arrs.append(pa.array(["DELETE"] * n))
-                            elif f.name == "seq":
-                                arrs.append(pa.array([trunc_hidden] * n,
-                                                     pa.int64()))
-                            else:
-                                arrs.append(pa.nulls(n, f.type))
-                        dels = pa.table(
-                            {f.name: a for f, a in zip(out_schema, arrs)})
-                        t = dels if t is None else pa.concat_tables(
-                            [t, dels], promote_options="default")
-            if t is not None and t.num_rows:
-                out.append(t)
-        if not out:
-            return out_schema.empty_table()
-        return pa.concat_tables(out, promote_options="default")
+        live, anchor = gated[p]
+        lk = LakeState(lake_root, generation)
+        tbl, _ = lk.read_partition(
+            table, p, before_seq=before, columns=phys, min_seq_hi=min_hi,
+            live=None if before is None else live)
+        t = None
+        if tbl is not None and tbl.num_rows:
+            t = evolve_to(tbl, target)
+            t = t.filter(pc.greater(pc.fill_null(t["__seq"], 0),
+                                    since_seq))
+            deleted = pc.fill_null(t["__deleted"], False)
+            change = pc.if_else(deleted, pa.scalar("DELETE"),
+                                pa.scalar("UPSERT"))
+            seq = t["__seq"].cast(pa.int64())
+            t = t.drop_columns([c for c in t.column_names
+                                if c.startswith("__")])
+            t = t.append_column("change", change) \
+                .append_column("seq", seq).select(out_schema.names)
+        if trunc_hidden is None:
+            return t
+        # keys live at the anchor that the marker wiped and the feed
+        # does not otherwise name → synthetic DELETE rows
+        old, _ = lk.read_partition(table, p, before_seq=since_seq + 1,
+                                   columns=anchor_phys, live=anchor)
+        if old is None or not old.num_rows:
+            return t
+        old = evolve_to(old, target)
+        alive = old.filter(pc.equal(
+            pc.fill_null(old["__deleted"], False), False))
+        keycols = list(target.keys)
+        oldk = alive.select(keycols)
+        if t is not None and t.num_rows:
+            oldk = oldk.join(t.select(keycols), keys=keycols,
+                             join_type="left anti")
+        n = oldk.num_rows
+        if not n:
+            return t
+        arrs = []
+        for f in out_schema:
+            if f.name in keycols:
+                arrs.append(oldk[f.name])
+            elif f.name == "change":
+                arrs.append(pa.array(["DELETE"] * n))
+            elif f.name == "seq":
+                arrs.append(pa.array([trunc_hidden] * n, pa.int64()))
+            else:
+                arrs.append(pa.nulls(n, f.type))
+        dels = pa.table({f.name: a for f, a in zip(out_schema, arrs)})
+        return dels if t is None else pa.concat_tables(
+            [t, dels], promote_options="default")
 
-    ds = ray.data.from_arrow(pa.table({"part": pa.array(parts, pa.int64())}))
-    return ds.repartition(len(parts)) \
-        .map_batches(load, batch_format="pyarrow", batch_size=1)
+    return _per_partition(list(gated), load, out_schema)
 
 
 def _agg_cols(group_col: str, sum_cols: list[str]) -> list[str]:

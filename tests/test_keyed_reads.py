@@ -11,10 +11,11 @@ every anchor; the reader test pins ``commit.read_data_file`` to
 
 import glob
 import os
+import random
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from deltaray import ReplayConfig, read_rows, replay
@@ -101,6 +102,14 @@ def _key_of(row: dict, key_cols: list):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
 @given(case=lookup_cases())
+# an anchor whose state is tombstones only: both reads are empty and must
+# carry the same list item name
+@example(case=dict(composite=False, seed=1, n_events=100, parts=1,
+                   compact_every=1, rnd=random.Random(0), unordered=False,
+                   mix=(0.3, 0.45, 0.25), seg=60,
+                   ddl=[(0, "docs", *DDL_CHOICES[0]),
+                        (0, "docs", *DDL_CHOICES[2]),
+                        (1, "docs", *DDL_CHOICES[1])]))
 def test_keyed_lookup_equals_filtered_table_read(case, tmp_path_factory):
     """``read_rows(keys, asof_seq=a)`` == ``read_table(asof_seq=a)``
     filtered to ``keys``, at head and at every anchor, across deletes,

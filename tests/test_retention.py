@@ -120,7 +120,8 @@ def test_expire_retain_latest_keeps_only_live_state(ray_session, tmp_log,
     assert earliest_snapshot(tmp_lake, "docs") == snaps[-1]
 
 
-def test_expire_validates_inputs(ray_session, tmp_log, tmp_lake):
+def test_expire_validates_inputs(ray_session, tmp_log, tmp_lake,
+                                 monkeypatch):
     write_event_log(tmp_log, n_docs=60, n_events=600, seed=53,
                     segment_max_events=600)
     replay(ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=2,
@@ -133,9 +134,12 @@ def test_expire_validates_inputs(ray_session, tmp_log, tmp_lake):
     # retain 0 = keep everything (explicit no-op)
     res = expire_snapshots(tmp_lake, "docs", retain_since_seq=0)
     assert res["files_removed"] == 0 and res["snapshot_floor"] == 0
-    # the distributed (Ray-task) path is identical to the driver path
-    r_dist = expire_snapshots(tmp_lake, "docs", retain_since_seq=snaps[-1],
-                              distributed=True)
+    # the Ray-task path (forced: any partition count fans out) is
+    # identical to the driver path
+    import deltaray.pipeline as pl
+
+    monkeypatch.setattr(pl, "_EXPIRE_FANOUT_PARTS", 0)
+    r_dist = expire_snapshots(tmp_lake, "docs", retain_since_seq=snaps[-1])
     assert r_dist["files_removed"] > 0
     assert earliest_snapshot(tmp_lake, "docs") == snaps[-1]
     want = replay_oracle(

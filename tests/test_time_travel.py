@@ -225,7 +225,7 @@ def test_point_lookup_lists_each_partition_once(ray_session, tmp_log,
     """The as-of gate and read_partition share listings instead of
     re-listing: a point lookup lists each routed partition's commits
     once, at head and as of an anchor (the gate's live list is the
-    read's)."""
+    read's), and an as-of read_table lists each partition once."""
     from collections import Counter
 
     from deltaray import read_rows
@@ -249,6 +249,10 @@ def test_point_lookup_lists_each_partition_once(ray_session, tmp_log,
     calls.clear()
     read_rows(tmp_lake, "docs", keys, asof_seq=snapshots(tmp_lake)[-2])
     assert calls and max(Counter(calls).values()) == 1, Counter(calls)
+    # an as-of table read hands each gate-checked list to its read too
+    calls.clear()
+    read_table(tmp_lake, "docs", asof_seq=snapshots(tmp_lake)[-2])
+    assert Counter(calls) == {p: 1 for p in range(4)}, Counter(calls)
 
 
 def test_read_rows_composite_keys(ray_session, tmp_log, tmp_lake):
