@@ -366,19 +366,6 @@ def read_data_file(src, columns: list[str] | None = None,
     return pf.read(columns=columns)
 
 
-def filter_to_keys(t: pa.Table, keyed: tuple) -> pa.Table:
-    """One data file's rows for a point lookup.  ``keyed`` is the
-    caller's ``(schema, keep)``: its read schema and its key filter
-    (``pipeline._route_keys``).  ``t`` is evolved to ``schema`` FIRST
-    and only then filtered: a RENAME_COLUMN can rename a primary-key
-    column, so an older file may hold the key under a name ``keep``
-    does not know."""
-    from deltaray.merge import evolve_to  # merge imports this module
-
-    schema, keep = keyed
-    return keep(evolve_to(t, schema))
-
-
 def live_window(commits: list[dict], truncs: list[int],
                 before: int | None = None) -> list[dict]:
     """The commits whose data files make up a partition's state as of
@@ -741,18 +728,30 @@ class LakeState:
         return rec
 
     # -------------------------------------------------------------- reads
-    def read_partition(self, table: str, part: int, before_seq: int | None = None,
+    def read_partition(self, table: str, part: int,
+                       schema: TableSchema | None = None, *,
+                       live: list[dict] | None = None,
                        columns: list[str] | None = None,
                        min_seq_hi: int | None = None,
                        prune: tuple | None = None,
-                       io_stats: dict | None = None, *,
-                       keyed: tuple | None = None,
-                       live: list[dict] | None = None,
+                       keep=None,
+                       io_stats: dict | None = None,
                        ) -> tuple[pa.Table | None, int]:
-        """Current state of a partition, merged-on-read: the last base
-        file plus subsequent delta files, unified to the newest embedded
-        schema and LWW-reduced per key.  Returns (table_or_None,
-        committed_hi).
+        """State of a partition, merged-on-read: the last base file plus
+        its delta files, each unified to ``schema``, then LWW-reduced
+        per key.  Returns (table_or_None, committed_hi).  The one place
+        a live file is unified on read: each file is evolved ONCE,
+        straight to ``schema`` (``merge.evolve_to``), then filtered by
+        ``keep``, then all are concatenated and reduced; the result is
+        stamped with ``schema``.  ``schema=None`` unifies to the newest
+        schema embedded in the live files (a single file comes back as
+        read) — OPTIMIZE's read, whose base must carry the schema of the
+        state it holds.
+
+        ``live``: the partition's live commits as the caller's as-of
+        gate listed them (:func:`live_window`); None lists the partition
+        at head.  ``committed_hi`` is the newest live commit's seq_hi (0
+        when none).
 
         ``columns`` prunes the parquet read (MUST include the key and
         version columns so the LWW merge stays correct — callers like
@@ -775,32 +774,18 @@ class LakeState:
         ``io_stats`` (optional dict) accumulates {"files_read",
         "files_pruned"} for observability/tests.
 
-        ``keyed``: a point lookup's ``(schema, keep)`` — its read schema
-        and its key filter (``pipeline._route_keys``).  Each live file
-        is evolved to ``schema`` and then filtered by ``keep``
-        (:func:`filter_to_keys`; the filter runs after ``evolve_to``
-        because a RENAME_COLUMN can rename a key column), and only the
-        surviving rows are concatenated and LWW-reduced; the result is
-        stamped with ``schema``.  Exact because LWW is per key: the
-        filter keeps every version and every tombstone of each wanted
-        key, so the reduce picks the same winner as over whole files.
-        Every live file is still read; nothing is skipped.
-
-        ``live``: the partition's live commits as the caller's as-of
-        gate already listed them (``live_window`` at ``before_seq``),
-        so the partition is not listed again; ``committed_hi`` is then
-        the newest live commit's seq_hi (0 when none)."""
+        ``keep``: a point lookup's key filter (``pipeline._route_keys``),
+        run on each file after its evolve — a RENAME_COLUMN can rename a
+        key column, so an older file holds the key under a name ``keep``
+        does not know.  Only the surviving rows are concatenated and
+        reduced: exact because LWW is per key, and the filter keeps
+        every version and every tombstone of each wanted key.  Every
+        live file is still read; nothing is skipped."""
         if live is None:
-            commits = self._list_commits_raw(table, part)  # read-only here
-            live = live_window(commits, self.truncate_seqs(table),
-                               before_seq)
-            if before_seq is not None:
-                commits = [c for c in commits if c["seq_hi"] < before_seq]
-        else:
-            commits = live
-        if not commits:
+            live = self.live_commits(table, part)
+        if not live:
             return None, 0
-        hi = int(commits[-1]["seq_hi"])
+        hi = int(live[-1]["seq_hi"])
         if min_seq_hi is not None:
             # incremental-read pruning: skip live files wholly at or
             # below the anchor.  ONLY correct for ORDERED lakes, where
@@ -852,26 +837,25 @@ class LakeState:
         from deltaray.merge import evolve_to
         from deltaray.transforms import lww_reduce
 
-        if keyed is not None:
-            target = keyed[0]
-            tbls = [filter_to_keys(t, keyed) for t in tbls]
-        else:
+        if schema is None:
             if len(tbls) == 1:
                 return tbls[0], hi
-            target = max((TableSchema.from_json(
+            schema = max((TableSchema.from_json(
                 (t.schema.metadata or {})[SCHEMA_META_KEY].decode())
                 for t in tbls), key=lambda m: m.version_seq)
-            tbls = [evolve_to(t, target) for t in tbls]
+        tbls = [evolve_to(t, schema) for t in tbls]
+        if keep is not None:
+            tbls = [keep(t) for t in tbls]
         order = tbls[0].column_names
         merged = tbls[0] if len(tbls) == 1 else lww_reduce(
             pa.concat_tables([t.select(order) for t in tbls],
-                             promote_options="none"), target.keys)
+                             promote_options="none"), schema.keys)
         # evolve_to rebuilds tables WITHOUT the embedded schema metadata —
         # re-stamp it, or a later evolve_to (e.g. merge applying a DDL on
         # top of this state) cannot resolve rename chains and would null
         # the renamed columns
         merged = merged.replace_schema_metadata(
-            {SCHEMA_META_KEY: target.to_json().encode()})
+            {SCHEMA_META_KEY: schema.to_json().encode()})
         return merged, hi
 
     # ------------------------------------------------------------ lineage

@@ -31,7 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from deltaray.commit import SCHEMA_META_KEY, LakeState, read_data_file
+from deltaray.commit import (SCHEMA_META_KEY, LakeState, live_window,
+                             read_data_file)
 from deltaray.schemas import TableSchema, code_to_type
 from deltaray.transforms import lww_reduce, version_col_names
 from deltaray.util import cluster_sort
@@ -97,8 +98,13 @@ def evolve_to(tbl: pa.Table, target: TableSchema) -> pa.Table:
             # ALTER COLUMN TYPE: files written pre-alter keep their old
             # type on disk; unify here (the north-star's "Arrow schema
             # unification per partition").  Safe cast — a lossy narrowing
-            # raises instead of silently corrupting values.
-            cols[name] = col if col.type == want_t else col.cast(want_t)
+            # raises instead of silently corrupting values.  Parquet
+            # reads name list items "element", the declared type "item";
+            # pyarrow's == ignores that name, the zero-copy cast fixes it
+            same = col.type == want_t and (
+                not pa.types.is_list(want_t)
+                or col.type.value_field.name == want_t.value_field.name)
+            cols[name] = col if same else col.cast(want_t)
         else:
             cols[name] = pa.nulls(tbl.num_rows, want_t)
     for v in tbl.column_names:
@@ -204,10 +210,12 @@ def strip_internal(tbl: pa.Table, with_previous: bool = False) -> pa.Table:
 
 
 def _slim_partition_state(lake: LakeState, table: str, part: int,
-                          schema: TableSchema, vnames: list[str]):
+                          schema: TableSchema, vnames: list[str],
+                          live: list[dict]):
     """Key+version columns of the partition's live state (LWW-reduced) —
     the cheap read that lets DELTA commits still measure late arrivals
     and exact state row counts without touching the payload columns.
+    ``live`` is the partition's live commit list, as the merge listed it.
     Returns a table, None (no live state), or "drift" when any live file
     was written under a different effective schema (DDL since) — callers
     fall back to a compacting merge then."""
@@ -215,13 +223,12 @@ def _slim_partition_state(lake: LakeState, table: str, part: int,
 
     import pyarrow.parquet as pq
 
-    recs = lake.live_commits(table, part)
-    if not recs:
+    if not live:
         return None
     want_meta = schema.to_json().encode()
     cols = list(dict.fromkeys([*schema.keys, *vnames]))
     tbls = []
-    for c in recs:
+    for c in live:
         pf = pq.ParquetFile(os.path.join(lake.part_dir(table, part),
                                          c["file"]))
         fschema = pf.schema_arrow
@@ -349,12 +356,12 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
         if rec is not None:
             _catch_up_lineage(lake, tname, part)
             return _lineage_row(rec, skipped=True)
-        # one listing serves the coverage check AND the compact decision
-        # below (hi-ordered, so the last live commit carries the max
-        # seq_hi; an all-truncated partition falls back to the raw max)
-        live0 = lake.live_commits(tname, part)
-        prev_hi = (int(live0[-1]["seq_hi"]) if live0
-                   else lake.committed_hi(tname, part))
+        # one listing serves the coverage check, the compact decision
+        # and the state read below (state-ordered, so the last commit
+        # carries the max seq_hi, also when a TRUNCATE hides it)
+        commits = lake._list_commits_raw(tname, part)
+        live = live_window(commits, lake.truncate_seqs(tname))
+        prev_hi = int(commits[-1]["seq_hi"]) if commits else 0
         if chunk_hi <= prev_hi:
             # re-segmented catch-up: this chunk's events are fully
             # covered by already-committed state.  Re-applying them
@@ -418,19 +425,18 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
         # time is exactly the compacted state, and per-chunk write
         # amplification drops from O(state) to O(changes).
         ustats: dict = {}
-        live = live0
         compact = (compact_every <= 1 or not live
                    or len(live) + 1 >= compact_every)
         vnames = version_col_names(changes.column_names)
         slim = None
         if not compact:
-            slim = _slim_partition_state(lake, tname, part, schema, vnames)
+            slim = _slim_partition_state(lake, tname, part, schema, vnames,
+                                         live)
             if isinstance(slim, str):  # "drift": DDL since the live files
                 compact, slim = True, None
         if compact:
-            base, _prev_hi = lake.read_partition(tname, part)
+            base, _ = lake.read_partition(tname, part, schema, live=live)
             if base is not None and base.num_rows:
-                base = evolve_to(base, schema)
                 changes = changes.select(base.column_names)  # align order
                 merged = upsert_by_version(base, changes, schema.keys,
                                            stats=ustats)

@@ -45,7 +45,7 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from deltaray.commit import (LAKE_FORMAT_VERSION, LakeState, atomic_write_json,
-                             check_lake_format, filter_to_keys, live_window,
+                             check_lake_format, live_window,
                              read_data_file, record_seq_hi,
                              stats_disjoint_any)
 from deltaray.config import ReplayConfig
@@ -977,11 +977,9 @@ def reshard_generation(lake_root: str, new_num_partitions: int,
             continue
 
         def load_raw(p: int) -> pa.Table | None:
-            """One src partition's merged RAW state, evolved to the
-            current schema (internal columns preserved)."""
-            tbl, _ = src.read_partition(table, p, before_seq=wm + 1,
-                                        live=live_of[p])
-            return None if tbl is None else evolve_to(tbl, schema)
+            """One src partition's merged RAW state under the current
+            schema (internal columns preserved)."""
+            return src.read_partition(table, p, schema, live=live_of[p])[0]
 
         src_ds = _per_partition(list(live_of), load_raw, None)
         # rows are already per-key-unique (a key lives in exactly one
@@ -1330,6 +1328,34 @@ def _route_keys(lake: LakeState, schema: TableSchema, keys: list):
     return gmeta, parts, keep
 
 
+def _partition_scan(lake: LakeState, table: str, schema: TableSchema,
+                    out_names: list[str], live_of: dict | None = None, *,
+                    columns: list[str] | None = None, prune=None, keep=None,
+                    with_previous: bool = False, conjuncts=None):
+    """The per-partition scan the table reads share: ``load(p)`` is
+    partition ``p``'s live rows under the read ``schema`` — its
+    merge-on-read (:meth:`LakeState.read_partition`, which unifies each
+    file to ``schema`` and applies ``columns`` / ``prune`` / ``keep``),
+    engine columns stripped, ``out_names`` selected, the exact
+    ``conjuncts`` filter applied (zone maps only skip IO, never decide
+    membership; SQL WHERE semantics: nulls drop), the schema stamp
+    dropped — or None when no row is left.  ``live_of`` maps each
+    partition to the live commits its as-of gate checked; None (a head
+    read) lists inside the read, so a compaction + vacuum that lands
+    after the caller's listing is still seen."""
+    def load(p: int) -> pa.Table | None:
+        tbl, _ = lake.read_partition(
+            table, p, schema, live=None if live_of is None else live_of[p],
+            columns=columns, prune=prune, keep=keep)
+        if tbl is None:
+            return None
+        t = strip_internal(tbl, with_previous=with_previous).select(out_names)
+        for c, op, lit in conjuncts or ():
+            t = t.filter(_PRED_OPS[op](t[c], lit))
+        return t.replace_schema_metadata() if t.num_rows else None
+    return load
+
+
 def read_table(lake_root: str, table: str, generation: int = 0,
                with_previous: bool = False,
                asof_seq: int | None = None) -> pa.Table:
@@ -1356,19 +1382,11 @@ def read_table(lake_root: str, table: str, generation: int = 0,
     if with_previous:
         out_schema = out_schema.append(pa.field("prev_tokens",
                                                 pa.list_(pa.int32())))
-    parts = []
-    for part, live in _live_parts_asof(lake, table, before).items():
-        tbl, _ = lake.read_partition(table, part, before_seq=before,
-                                     live=None if before is None else live)
-        if tbl is None or not tbl.num_rows:
-            continue
-        t = strip_internal(evolve_to(tbl, schema),
-                           with_previous=with_previous) \
-            .select(out_schema.names)
-        # tombstones only: skip, so an empty read is out_schema's like
-        # read_rows' (files name list items "element", out_schema "item")
-        if t.num_rows:
-            parts.append(t)
+    live_of = _live_parts_asof(lake, table, before)
+    load = _partition_scan(lake, table, schema, out_schema.names,
+                           None if before is None else live_of,
+                           with_previous=with_previous)
+    parts = [t for t in map(load, live_of) if t is not None]
     if not parts:
         return out_schema.empty_table()
     out = pa.concat_tables(parts)
@@ -1389,11 +1407,11 @@ def read_rows(lake_root: str, table: str, keys: list, generation: int = 0,
     Partition routing replays the engine's own partitioner
     (``stable_hash_cols % num_partitions`` from the generation meta), so
     it is exact, not probabilistic.  The merge-on-read is key-filtered
-    (``LakeState.read_partition(keyed=...)``): each live file is evolved
-    to the read schema, then filtered to the keys (after ``evolve_to``:
-    a RENAME_COLUMN can rename a key column), then LWW-reduced — exact,
-    as LWW is per key.  An as-of lookup hands the gate's live list to
-    the read, so each partition is listed once.  Driver-side by design:
+    (``LakeState.read_partition(schema, keep=...)``): each live file is
+    evolved to the read schema, then filtered to the keys (after the
+    evolve: a RENAME_COLUMN can rename a key column), then LWW-reduced —
+    exact, as LWW is per key.  An as-of lookup hands the gate's live
+    list to the read, so each partition is listed once.  Driver-side by design:
     lookups are small; use ``read_table_ds`` for scans."""
     lake, before, schema = _read_scope(lake_root, table, generation,
                                        asof_seq, columns)
@@ -1410,23 +1428,15 @@ def read_rows(lake_root: str, table: str, keys: list, generation: int = 0,
     # is the latency-sensitive serving path
     phys = None if columns is None else _phys_cols(gmeta,
                                                    schema.column_names())
-    out = []
-    for p in parts:
-        live = (None if before is None
-                else _live_parts_asof_one(lake, table, p, before))
-        tbl, _ = lake.read_partition(table, p, before_seq=before,
-                                     columns=phys, keyed=(schema, keep),
-                                     live=live)
-        if tbl is None:
-            continue
-        t = strip_internal(tbl)
-        if t.num_rows:
-            out.append(t.select(want))
+    live_of = None if before is None else {
+        p: _live_parts_asof_one(lake, table, p, before) for p in parts}
+    load = _partition_scan(lake, table, schema, want, live_of,
+                           columns=phys, keep=keep)
+    out = [t for t in map(load, parts) if t is not None]
     if not out:
         return out_schema.empty_table()
-    # the schema stamp is the merge-on-read's, not part of the result
-    res = pa.concat_tables(out).replace_schema_metadata()
-    return res.sort_by([(k, "ascending") for k in key_cols])
+    return pa.concat_tables(out).sort_by([(k, "ascending")
+                                          for k in key_cols])
 
 
 def read_history(lake_root: str, table: str, keys: list,
@@ -1441,9 +1451,10 @@ def read_history(lake_root: str, table: str, keys: list,
     :func:`read_rows`: only the keys' hash partitions' live
     merge-on-read files are read, never a table scan.  Each file takes
     the same per-file step as a point lookup
-    (``commit.filter_to_keys``): evolve to the read schema, then keep
-    the keys' rows — in that order, because a RENAME_COLUMN can rename
-    a key column — with no LWW, so every stored version survives.
+    (``LakeState.read_partition(schema, keep=...)``): evolve to the read
+    schema, then keep the keys' rows — in that order, because a
+    RENAME_COLUMN can rename a key column — with no LWW, so every stored
+    version survives.
 
     Granularity and retention: the lake stores one version per key per
     COMMITTED CHUNK (chunk-level LWW — intra-chunk intermediates were
@@ -1483,8 +1494,8 @@ def read_history(lake_root: str, table: str, keys: list,
     for p in parts:
         pdir = lake.part_dir(table, p)
         for c in lake.live_commits(table, p):
-            t = filter_to_keys(read_data_file(os.path.join(pdir, c["file"])),
-                               (schema, keep))
+            t = keep(evolve_to(read_data_file(os.path.join(pdir, c["file"])),
+                               schema))
             if t.num_rows:
                 collected.append(t.select(keep_cols))
     if not collected:
@@ -1590,7 +1601,6 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
                                                 pa.list_(pa.int32())))
     live_of = _live_parts_asof(lake, table, before)
     parts = list(live_of)
-    sj = schema.to_json()
     # generation meta, read once per call (ordering / partitioner /
     # sort-key width all come from it)
     gmeta0 = _gen_meta(lake)
@@ -1681,22 +1691,10 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
                         len(live) - (1 if skip_base else 0)
             parts = kept
 
-    def load(p: int) -> pa.Table | None:
-        tbl, _ = LakeState(lake_root, generation).read_partition(
-            table, p, before_seq=before, columns=phys, prune=prune,
-            live=None if before is None else live_of[p])
-        if tbl is None or not tbl.num_rows:
-            return None
-        t = strip_internal(evolve_to(tbl, TableSchema.from_json(sj)),
-                           with_previous=with_previous) \
-            .select(out_schema.names)
-        if conjuncts is not None:
-            # exact filter — the zone maps only ever SKIP IO, never
-            # decide membership (SQL WHERE semantics: nulls drop)
-            for c, op, lit in conjuncts:
-                t = t.filter(_PRED_OPS[op](t[c], lit))
-        return t
-
+    load = _partition_scan(lake, table, schema, out_schema.names,
+                           None if before is None else live_of,
+                           columns=phys, prune=prune,
+                           with_previous=with_previous, conjuncts=conjuncts)
     return _per_partition(parts, load, out_schema)
 
 
@@ -2086,22 +2084,18 @@ def read_changes(lake_root: str, table: str, since_seq: int,
                   else _live_parts_asof_one(lake, table, p, since_seq + 1))
         if anchor or any(since_seq < c["seq_hi"] for c in live):
             gated[p] = (live, anchor)
-    sj = schema.to_json()
 
     # a closure of read_changes: tracing matches the feed UDF by its
     # qualified name, which _per_partition's batch UDF carries
     def load(p: int) -> pa.Table | None:
-        target = TableSchema.from_json(sj)
         live, anchor = gated[p]
-        lk = LakeState(lake_root, generation)
-        tbl, _ = lk.read_partition(
-            table, p, before_seq=before, columns=phys, min_seq_hi=min_hi,
-            live=None if before is None else live)
+        tbl, _ = lake.read_partition(
+            table, p, schema, live=None if before is None else live,
+            columns=phys, min_seq_hi=min_hi)
         t = None
         if tbl is not None and tbl.num_rows:
-            t = evolve_to(tbl, target)
-            t = t.filter(pc.greater(pc.fill_null(t["__seq"], 0),
-                                    since_seq))
+            t = tbl.filter(pc.greater(pc.fill_null(tbl["__seq"], 0),
+                                      since_seq))
             deleted = pc.fill_null(t["__deleted"], False)
             change = pc.if_else(deleted, pa.scalar("DELETE"),
                                 pa.scalar("UPSERT"))
@@ -2109,19 +2103,19 @@ def read_changes(lake_root: str, table: str, since_seq: int,
             t = t.drop_columns([c for c in t.column_names
                                 if c.startswith("__")])
             t = t.append_column("change", change) \
-                .append_column("seq", seq).select(out_schema.names)
+                .append_column("seq", seq).select(out_schema.names) \
+                .replace_schema_metadata()
         if trunc_hidden is None:
             return t
         # keys live at the anchor that the marker wiped and the feed
         # does not otherwise name → synthetic DELETE rows
-        old, _ = lk.read_partition(table, p, before_seq=since_seq + 1,
-                                   columns=anchor_phys, live=anchor)
+        old, _ = lake.read_partition(table, p, schema, live=anchor,
+                                     columns=anchor_phys)
         if old is None or not old.num_rows:
             return t
-        old = evolve_to(old, target)
         alive = old.filter(pc.equal(
             pc.fill_null(old["__deleted"], False), False))
-        keycols = list(target.keys)
+        keycols = list(schema.keys)
         oldk = alive.select(keycols)
         if t is not None and t.num_rows:
             oldk = oldk.join(t.select(keycols), keys=keycols,

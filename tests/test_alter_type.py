@@ -248,3 +248,43 @@ def test_read_changes_and_history_across_alter(tmp_log, tmp_lake):
         vto = rows["valid_to_seq"].to_pylist()
         assert all(vto[i] == seqs[i + 1] for i in range(len(seqs) - 1))
         assert not vto or vto[-1] is None
+
+
+def test_reads_return_declared_list_item_name(tmp_log, tmp_lake):
+    """Parquet reads name a list item ``element``; the declared schema
+    (``TableSchema.arrow_schema``) names it ``item``, and pyarrow's ``==``
+    ignores the difference.  The one unification on read
+    (``read_partition`` → ``evolve_to``) casts it, so every non-empty
+    read — driver tables, feed and scan blocks and their declared
+    ``schema()`` — says ``item``, like an empty read does."""
+    import ray
+
+    from deltaray.commit import LakeState
+    from deltaray.pipeline import read_changes, read_rows, read_table_ds
+
+    write_event_log(tmp_log, n_docs=60, n_events=600, seed=41,
+                    segment_max_events=200)
+    replay(ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=2,
+                        chunk_max_events=200, compact_every=3,
+                        vacuum=False))
+    declared = LakeState(tmp_lake).current_schema("docs").arrow_schema()
+    feed_schema = declared.append(pa.field("change", pa.string())) \
+        .append(pa.field("seq", pa.int64()))
+
+    def check(schema, want):
+        assert schema.field("tokens").type.value_field.name == "item", schema
+        assert schema.equals(want, check_metadata=False), schema
+
+    head = read_table(tmp_lake, "docs")
+    assert head.num_rows
+    check(head.schema, declared)
+    check(read_rows(tmp_lake, "docs",
+                    head["doc_id"].to_pylist()[:5]).schema, declared)
+    for ds, want in ((read_table_ds(tmp_lake, "docs"), declared),
+                     (read_changes(tmp_lake, "docs", since_seq=0),
+                      feed_schema)):
+        check(ds.schema().base_schema, want)
+        blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+        assert blocks
+        for b in blocks:
+            check(b.schema, want)

@@ -1,9 +1,10 @@
 """Key-filtered merge-on-read and the one data-file reader.
 
 ``read_rows`` filters each live file to the lookup keys before the
-concat and the LWW reduce (``LakeState.read_partition(keyed=...)``).
-That is exact because LWW is per key, and it must run after
-``evolve_to`` because a RENAME_COLUMN can rename the key column.  The
+concat and the LWW reduce (``LakeState.read_partition(schema,
+keep=...)``).  That is exact because LWW is per key, and it must run
+after the file's evolve to the read schema because a RENAME_COLUMN can
+rename the key column.  The
 property test holds it against the unfiltered table read at head and at
 every anchor; the reader test pins ``commit.read_data_file`` to
 ``pq.read_table``.

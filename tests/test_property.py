@@ -317,7 +317,7 @@ def test_time_travel_property(seed, n_docs, n_events, chunk, unordered,
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from deltaray.pipeline import read_changes, snapshots
+    from deltaray.pipeline import read_changes, read_table_ds, snapshots
     from deltaray.util import to_table
 
     base = tmp_path_factory.mktemp("tt_prop")
@@ -363,6 +363,11 @@ def test_time_travel_property(seed, n_docs, n_events, chunk, unordered,
         ordering=cfg.ordering))["docs"]
     ok, msg = tables_equal(got, want)
     assert ok, f"asof {S}: {msg}"
+    # the distributed scan through the same per-partition read
+    got_ds = to_table(read_table_ds(lake, "docs", asof_seq=S)) \
+        .sort_by("doc_id")
+    ok, msg = tables_equal(got_ds, want)
+    assert ok, f"read_table_ds asof {S}: {msg}"
     # patch law on a random anchor pair
     s_pair = sorted(rng.choice([0] + snaps, size=2, replace=False))
     s1, s2 = int(s_pair[0]), int(s_pair[1])

@@ -86,3 +86,62 @@ def test_metrics_accumulate(tmp_log, tmp_lake):
     # snapshot inserts (100) + 1000 stream events, minus none blacklisted
     assert m["dml_events"] == 1100
     assert m["inserts"] >= 100
+
+
+def test_merge_lists_partition_once_before_commit(tmp_log, tmp_lake,
+                                                  tmp_path, monkeypatch):
+    """One commit listing per merge: the coverage check, the compact
+    decision, the slim-state read of a delta chunk and the state read of
+    a compacting chunk all share it.  The merge runs on Ray workers, so
+    the spy travels inside the pickled merge closure and appends one
+    JSON line per applied merge: the listings of its partition before
+    its ``try_commit``, and the commit kind."""
+    import json
+
+    import deltaray.pipeline as pl
+
+    out = str(tmp_path / "merge_lists.jsonl")
+    real_make = pl.make_merge_fn
+
+    def spied_make(*args, **kwargs):
+        merge = real_make(*args, **kwargs)
+
+        def spied(group):
+            from deltaray.commit import LakeState
+
+            raw, commit = LakeState._list_commits_raw, LakeState.try_commit
+            seen = {"lists": 0, "kind": None}
+
+            def list_spy(self, table, part):
+                if seen["kind"] is None:
+                    seen["lists"] += 1
+                return raw(self, table, part)
+
+            def commit_spy(self, *a, **kw):
+                seen["kind"] = kw.get("kind", "base")
+                return commit(self, *a, **kw)
+
+            LakeState._list_commits_raw = list_spy
+            LakeState.try_commit = commit_spy
+            try:
+                res = merge(group)
+            finally:
+                LakeState._list_commits_raw, LakeState.try_commit = \
+                    raw, commit
+            if seen["kind"] is not None:
+                with open(out, "a") as fh:
+                    fh.write(json.dumps(seen) + "\n")
+            return res
+        return spied
+
+    monkeypatch.setattr(pl, "make_merge_fn", spied_make)
+    write_event_log(tmp_log, n_docs=80, n_events=1600, seed=23,
+                    segment_max_events=200)
+    cfg = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=2,
+                       chunk_max_events=200, compact_every=3)
+    check_matches_oracle(cfg)
+    with open(out) as fh:
+        recs = [json.loads(line) for line in fh]
+    kinds = {r["kind"] for r in recs}
+    assert kinds == {"base", "delta"}, recs
+    assert all(r["lists"] == 1 for r in recs), recs
