@@ -267,20 +267,23 @@ def run_scaling() -> dict:
 
 
 def run_exchange_soak() -> dict:
-    """Cluster-scale exchange paths at REAL block counts (round-3 verdict
-    ask #8): the tree-combine merge and the two-level split previously
-    bound only under forced-small caps in pytest.
+    """Cluster-scale exchange paths at REAL block counts: the fan-in
+    tree of ``pipeline._exchange`` (cap ``pipeline._MERGE_FANIN``),
+    otherwise bound only under forced-small caps in pytest.
 
     Engine leg: one log written as ~2000 segment files (each file is at
     least one map unit, so the chunk's merge sees ~2000 upstream splits
-    per shard) replayed twice — flat merge (fanin > units) vs tree merge
-    (fanin 8, ~4 combine levels) — and the lakes compared row-for-row.
+    per shard) replayed three times — flat merge (fanin > units) vs tree
+    merges (fanin 64, and fanin 8 for ~4 combine levels) — and the lakes
+    compared row-for-row.
 
     Library leg: hash_partitioned over 1024 upstream blocks x 128
-    partitions, flat (131k driver refs) vs split_groups=8 + fanin=8
-    two-level (≈12k refs), outputs compared exactly.
+    partitions, flat (fanin > blocks) vs fanin 8 (~4 combine levels),
+    outputs compared exactly.
     """
     import hashlib
+    from unittest import mock
+
     import ray
 
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -292,7 +295,7 @@ def run_exchange_soak() -> dict:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from deltaray import ReplayConfig, replay
+    from deltaray import ReplayConfig, pipeline, replay
     from deltaray.gen import write_event_log_fast
     from deltaray.oracle import tables_equal
     from deltaray.pipeline import read_table
@@ -309,8 +312,8 @@ def run_exchange_soak() -> dict:
         lake = os.path.join(root, f"lake-{tag}")
         shutil.rmtree(lake, ignore_errors=True)
         t0 = time.perf_counter()
-        replay(ReplayConfig(event_log=log, lake=lake, num_partitions=64,
-                            merge_fanin=fanin))
+        with mock.patch.object(pipeline, "_MERGE_FANIN", fanin):
+            replay(ReplayConfig(event_log=log, lake=lake, num_partitions=64))
         sec = time.perf_counter() - t0
         return sec, read_table(lake, "docs")
 
@@ -334,7 +337,7 @@ def run_exchange_soak() -> dict:
                      .to_csv(index=False).encode())
         return h.hexdigest()[:16]
 
-    # library leg: hash_partitioned flat vs two-level
+    # library leg: hash_partitioned flat vs fan-in-capped
     from deltaray.functions.partition import hash_partitioned
 
     import ray.data
@@ -353,16 +356,17 @@ def run_exchange_soak() -> dict:
         g = block.group_by("k").aggregate([("v", "sum"), ([], "count_all")])
         return g.rename_columns(["k", "v_sum", "n"])
 
-    def lib_leg(**kw) -> tuple[float, "pa.Table"]:
+    def lib_leg(fanin: int) -> tuple[float, "pa.Table"]:
         t0 = time.perf_counter()
-        out = hash_partitioned(ds, ["k"], agg, num_partitions=128, **kw)
-        tbl = pa.concat_tables(
-            list(out.iter_batches(batch_format="pyarrow"))).sort_by("k")
+        with mock.patch.object(pipeline, "_MERGE_FANIN", fanin):
+            out = hash_partitioned(ds, ["k"], agg, num_partitions=128)
+            tbl = pa.concat_tables(
+                list(out.iter_batches(batch_format="pyarrow"))).sort_by("k")
         return time.perf_counter() - t0, tbl.combine_chunks()
 
-    lib_flat_sec, lib_flat = lib_leg()
-    lib_two_sec, lib_two = lib_leg(split_groups=8, merge_fanin=8)
-    eq_lib = lib_flat.equals(lib_two)
+    lib_flat_sec, lib_flat = lib_leg(1 << 20)
+    lib_tree_sec, lib_tree = lib_leg(8)
+    eq_lib = lib_flat.equals(lib_tree)
 
     ray.shutdown()
     return {
@@ -377,9 +381,8 @@ def run_exchange_soak() -> dict:
                    "state_hash": table_hash(flat_tbl)},
         "library": {"blocks": 1024, "partitions": 128,
                     "flat_sec": round(lib_flat_sec, 2),
-                    "two_level_sec": round(lib_two_sec, 2),
-                    "two_level_overhead": round(lib_two_sec / lib_flat_sec,
-                                                3),
+                    "tree8_sec": round(lib_tree_sec, 2),
+                    "tree8_overhead": round(lib_tree_sec / lib_flat_sec, 3),
                     "equal": bool(eq_lib)},
         "num_cpus": NUM_CPUS,
     }

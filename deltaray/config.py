@@ -82,11 +82,6 @@ class ReplayConfig:
     # pays one file open per commit EVER MADE; with it, reads cost
     # O(manifests + recent loose) opens at any history length.
     manifest_every: int = 64
-    # cap on object-ref args per merge/combine task in the exchange: when
-    # a chunk plans more map units than this, splits combine in a tree of
-    # concat tasks (O(log) levels) instead of one M-arg merge — task-spec
-    # size stays bounded at cluster scale (M ~ 4x cluster CPUs per chunk)
-    merge_fanin: int = 256
     # chunk-pipelining depth of the exchange: with W > 1, up to W
     # consecutive DML chunks are in flight at once — shard s of chunk
     # N+1 chains on shard s of chunk N (a Ray object dependency), so a
@@ -223,7 +218,6 @@ def config_to_dict(cfg: ReplayConfig) -> dict:
         "chunk_max_events": cfg.chunk_max_events,
         "compact_every": cfg.compact_every,
         "manifest_every": cfg.manifest_every,
-        "merge_fanin": cfg.merge_fanin,
         "pipeline_chunks": cfg.pipeline_chunks,
         "cluster_by": cfg.cluster_by,
         "cluster_row_group_rows": cfg.cluster_row_group_rows,
@@ -250,8 +244,7 @@ def config_from_dict(d: dict, runtime_args: dict[str, str] | None = None) -> Rep
     kw = {k: d[k] for k in (
         "event_log", "lake", "ordering", "sort_key_components",
         "track_previous", "num_partitions", "chunk_max_events",
-        "compact_every", "manifest_every", "merge_fanin",
-        "pipeline_chunks",
+        "compact_every", "manifest_every", "pipeline_chunks",
         "cluster_by", "cluster_row_group_rows",
         "vacuum", "generation") if k in d}
     return ReplayConfig(

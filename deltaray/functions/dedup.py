@@ -340,7 +340,7 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
     import ray
     import ray.data
 
-    from deltaray.functions.partition import _split_by_part
+    from deltaray.pipeline import _combine_splits, _exchange, _split_block
 
     rows_per_band = num_hashes // bands
     hasher = MinHasher(num_hashes=num_hashes, seed=seed, shingle_k=shingle_k)
@@ -356,8 +356,9 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
 
     # -- everything below is ONE async ray-task chain over the sig blocks:
     # band explode → band split → bucket (pairs) → pair split → attach_a
-    # (dedup + sig_a) → split by id_b → attach_b (estimate + threshold).
-    # Partition tags are emitted by the producing task itself, so there
+    # (dedup + sig_a) → split by id_b → attach_b (estimate + threshold),
+    # each flight one pipeline._exchange over _split_block splits.
+    # __shard tags are emitted by the producing task itself, so there
     # are no intermediate Dataset wraps and no drain barriers — the only
     # synchronization points are the sig materialize above and whoever
     # consumes the returned Dataset.
@@ -366,8 +367,8 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
     from deltaray.functions.partition import _hash_cols
 
     def band_explode(block: pa.Table) -> pa.Table:
-        """(id, sig) block → (band, band_hash, id, __part) rows; __part
-        is the band-bucket exchange partition."""
+        """(id, sig) block → (band, band_hash, id, __shard) rows;
+        __shard is the band-bucket exchange partition."""
         sigs = _sig_matrix(block["sig"], num_hashes)
         n = len(block)
         ids = block[id_col].to_numpy(zero_copy_only=False)
@@ -386,18 +387,17 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
         })
         part = (_hash_cols(out, ["band", "band_hash"])
                 % np.uint64(P)).astype(np.int32)
-        return out.append_column("__part", pa.array(part))
+        return out.append_column("__shard", pa.array(part))
 
     def bucket_pairs(*splits: pa.Table) -> pa.Table:
         """One task per band-bucket partition: candidate pairs, tagged
-        __part = hash(id_a) for the attach flight."""
+        __shard = hash(id_a) for the attach flight."""
         empty = pa.table({"id_a": pa.array([], pa.int64()),
                           "id_b": pa.array([], pa.int64()),
-                          "__part": pa.array([], pa.int32())})
-        live = [s for s in splits if s.num_rows]
-        if not live:
+                          "__shard": pa.array([], pa.int32())})
+        block = _combine_splits(*splits)
+        if not block.num_rows:
             return empty
-        block = pa.concat_tables(live, promote_options="default")
         g = block.sort_by([("band", "ascending"), ("band_hash", "ascending"),
                            (id_col, "ascending")])
         codes = group_codes(g, ["band", "band_hash"])
@@ -417,42 +417,32 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
             "id_b": pa.array(np.concatenate(out_b).astype(np.int64)),
         })
         part = (_hash_cols(out, ["id_a"]) % np.uint64(P)).astype(np.int32)
-        return out.append_column("__part", pa.array(part))
-
-    def sig_part_of(*splits: pa.Table) -> pa.Table:
-        live = [s for s in splits if s.num_rows]
-        if not live:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "sig": pa.array([], pa.binary(8 * num_hashes))})
-        return pa.concat_tables(live, promote_options="default")
+        return out.append_column("__shard", pa.array(part))
 
     def attach_a(sig_part: pa.Table, *pair_parts: pa.Table) -> pa.Table:
         """Dedup multi-band pair copies (all copies of (a, b) land here
         because the flight key is id_a) and attach sig_a; re-tag by id_b
         for the second flight."""
-        live = [t for t in pair_parts if t.num_rows]
-        if not live:
+        pairs_t = _combine_splits(*pair_parts)
+        if not pairs_t.num_rows:
             return pa.table({"id_a": pa.array([], pa.int64()),
                              "id_b": pa.array([], pa.int64()),
                              "sig_a": pa.array([], pa.binary(8 * num_hashes)),
-                             "__part": pa.array([], pa.int32())})
-        pairs_t = take_first_per_key(
-            pa.concat_tables(live, promote_options="default"),
-            ["id_a", "id_b"])
+                             "__shard": pa.array([], pa.int32())})
+        pairs_t = take_first_per_key(pairs_t, ["id_a", "id_b"])
         idx = pc.index_in(pairs_t["id_a"], value_set=sig_part[id_col])
         sig_a = sig_part["sig"].combine_chunks().take(idx)
         out = pa.table({"id_a": pairs_t["id_a"], "id_b": pairs_t["id_b"],
                         "sig_a": sig_a})
         part = (_hash_cols(out, ["id_b"]) % np.uint64(P)).astype(np.int32)
-        return out.append_column("__part", pa.array(part))
+        return out.append_column("__shard", pa.array(part))
 
     def attach_b(sig_part: pa.Table, *pair_parts: pa.Table) -> pa.Table:
-        live = [t for t in pair_parts if t.num_rows]
-        if not live:
+        pt = _combine_splits(*pair_parts)
+        if not pt.num_rows:
             return pa.table({"id_a": pa.array([], pa.int64()),
                              "id_b": pa.array([], pa.int64()),
                              "jaccard_est": pa.array([], pa.float64())})
-        pt = pa.concat_tables(live, promote_options="default")
         idx = pc.index_in(pt["id_b"], value_set=sig_part[id_col])
         sig_b = sig_part["sig"].combine_chunks().take(idx)
         A = _sig_matrix(pt["sig_a"], num_hashes)
@@ -465,57 +455,45 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
             "jaccard_est": pa.array(est[keep].astype(np.float64)),
         })
 
-    split = ray.remote(num_returns=P)(_split_by_part)
-
-    def _cols(refs_per_block):
-        if P == 1:
-            return [[r] for r in refs_per_block]
-        return refs_per_block
-
     sig_blocks = [br for bundle in sig_ds.iter_internal_ref_bundles()
                   for br in bundle.block_refs]
     if not sig_blocks:
-        import ray.data as rd
-        return rd.from_arrow(pa.table({
+        return ray.data.from_arrow(pa.table({
             "id_a": pa.array([], pa.int64()),
             "id_b": pa.array([], pa.int64()),
             "jaccard_est": pa.array([], pa.float64())}))
 
-    # sig partitions (for attach): split each sig block by hash(id) —
-    # the __part tag is computed inside the split task via a tiny shim
+    split = ray.remote(num_returns=P)(_split_block)
     tag_and_split = ray.remote(num_returns=P)(_tag_split)
-    sig_splits = _cols([tag_and_split.remote(b, [id_col], P)
-                        for b in sig_blocks])
-    merge_sig = ray.remote(sig_part_of)
-    sig_parts = [merge_sig.remote(*[s[p] for s in sig_splits])
-                 for p in range(P)]
+    combine = ray.remote(_combine_splits)
+    bucket_r = ray.remote(bucket_pairs)
+    attach_a_r = ray.remote(attach_a)
+    attach_b_r = ray.remote(attach_b)
 
+    # sig partitions (for attach): split each sig block by hash(id) —
+    # the __shard tag is computed inside the split task via a tiny shim
+    sig_parts = _exchange([tag_and_split.remote(b, [id_col], P)
+                           for b in sig_blocks], P,
+                          lambda p, refs: combine.remote(*refs))
     band_r = ray.remote(band_explode)
     band_tasks = [band_r.remote(b) for b in sig_blocks]
-    band_splits = _cols([split.remote(t, P) for t in band_tasks])
-    bucket_r = ray.remote(bucket_pairs)
-    pair_parts = [bucket_r.remote(*[s[p] for s in band_splits])
-                  for p in range(P)]
-    pair_splits = _cols([split.remote(t, P) for t in pair_parts])
-    attach_a_r = ray.remote(attach_a)
-    with_a = [attach_a_r.remote(sig_parts[p],
-                                *[s[p] for s in pair_splits])
-              for p in range(P)]
-    splits2 = _cols([split.remote(t, P) for t in with_a])
-    attach_b_r = ray.remote(attach_b)
-    final = [attach_b_r.remote(sig_parts[p], *[s[p] for s in splits2])
-             for p in range(P)]
+    pair_parts = _exchange([split.remote(t, P) for t in band_tasks], P,
+                           lambda p, refs: bucket_r.remote(*refs))
+    with_a = _exchange([split.remote(t, P) for t in pair_parts], P,
+                       lambda p, refs: attach_a_r.remote(sig_parts[p], *refs))
+    final = _exchange([split.remote(t, P) for t in with_a], P,
+                      lambda p, refs: attach_b_r.remote(sig_parts[p], *refs))
     return ray.data.from_arrow_refs(final)
 
 
 def _tag_split(block: pa.Table, key_cols, P: int):
-    """Remote shim: tag ``block`` with __part = hash(key_cols) % P, then
+    """Remote shim: tag ``block`` with __shard = hash(key_cols) % P, then
     split (used where the producer did not pre-tag)."""
-    from deltaray.functions.partition import _hash_cols, _split_by_part
+    from deltaray.functions.partition import _hash_cols
+    from deltaray.pipeline import _split_block
 
-    part = (_hash_cols(block, key_cols) % np.uint64(P)).astype(np.int32)
-    tagged = block.append_column("__part", pa.array(part))
-    return _split_by_part(tagged, P)
+    shard = (_hash_cols(block, key_cols) % np.uint64(P)).astype(np.int32)
+    return _split_block(block.append_column("__shard", pa.array(shard)), P)
 
 
 class SimHasher:

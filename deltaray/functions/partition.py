@@ -57,176 +57,62 @@ def take_first_per_key(tbl: pa.Table, cols: list[str]) -> pa.Table:
     return g.take(pa.array(np.sort(first)))
 
 
-def _split_by_part(block: pa.Table, num_partitions: int):
-    """One upstream block → ``num_partitions`` filtered slices (filter is
-    type-preserving, so empty slices keep the input schema)."""
-    if "__part" not in block.column_names:
-        # Ray passes zero-row blocks through without running the tag UDF
-        empty = block.slice(0, 0)
-        return (tuple(empty for _ in range(num_partitions))
-                if num_partitions > 1 else empty)
-    part = block["__part"].to_numpy(zero_copy_only=False)
-    body = block.drop_columns(["__part"])
-    out = []
-    for p in range(num_partitions):
-        out.append(body.filter(pa.array(part == p)))
-    return tuple(out) if num_partitions > 1 else out[0]
-
-
-def _split_super(block: pa.Table, n_groups: int, span: int):
-    """Level-1 split of the two-level exchange: bucket rows by
-    SUPER-partition (``__part // span``), keeping ``__part`` for the
-    level-2 refinement."""
-    if "__part" not in block.column_names:
-        empty = block.slice(0, 0)
-        return (tuple(empty for _ in range(n_groups))
-                if n_groups > 1 else empty)
-    sup = block["__part"].to_numpy(zero_copy_only=False) // span
-    out = tuple(block.filter(pa.array(sup == g)) for g in range(n_groups))
-    return out if n_groups > 1 else out[0]
-
-
-def _split_refine(lo: int, n_parts: int, *supers: pa.Table):
-    """Level-2: concat a bounded group of one super-partition's splits,
-    then split into its final partitions ``[lo, lo + n_parts)``."""
-    tabs = [s for s in supers if s.num_rows]
-    if not tabs:
-        with_schema = [s for s in supers if s.num_columns]
-        base = with_schema[0] if with_schema else supers[0]
-        if "__part" in base.column_names:
-            base = base.drop_columns(["__part"])
-        empty = base.slice(0, 0)
-        return (tuple(empty for _ in range(n_parts))
-                if n_parts > 1 else empty)
-    t = pa.concat_tables(tabs, promote_options="default")
-    part = t["__part"].to_numpy(zero_copy_only=False)
-    body = t.drop_columns(["__part"])
-    out = tuple(body.filter(pa.array(part == lo + i))
-                for i in range(n_parts))
-    return out if n_parts > 1 else out[0]
-
-
-def _concat_splits(*splits: pa.Table) -> pa.Table:
-    nonempty = [s for s in splits if s.num_rows]
-    if nonempty:
-        return pa.concat_tables(nonempty, promote_options="default")
-    # all-empty: keep a SCHEMA-FUL empty block alive (Ray canonicalizes
-    # empty blocks to zero columns; skip those)
-    with_schema = [s for s in splits if s.num_columns]
-    return with_schema[0] if with_schema else splits[0]
-
-
-def _merge_part(fn, *splits: pa.Table) -> pa.Table:
-    return fn(_concat_splits(*splits))
-
-
-def hash_partitioned(ds, key_cols: list[str], fn, *, num_partitions: int = 64,
-                     merge_fanin: int | None = None,
-                     split_groups: int | None = None):
+def hash_partitioned(ds, key_cols: list[str], fn, *, num_partitions: int = 64):
     """Apply ``fn(block: pa.Table) -> pa.Table`` to complete hash
     partitions of the key space.  ``fn`` sees every row of every key that
     hashes into its partition (and nothing else) and must group
-    internally — use :func:`group_codes`.
+    internally — use :func:`group_codes`.  A partition no key hashes into
+    still gets one call, on an empty block of the input schema.
 
-    The exchange is the classic two-stage Ray-task shuffle the engine
-    core uses (pipeline._submit_exchange):
-    each upstream block is split once by partition (``num_returns=P``)
-    and one merge task per partition gathers its splits zero-copy — no
-    sort of the rows, no Dataset all-to-all.  The result is re-wrapped
-    with ``from_arrow_refs`` so downstream Dataset ops keep chaining.
-
-    ``merge_fanin`` caps how many upstream splits any single merge task
-    takes as arguments.  The flat exchange hands each partition's merge
-    ONE task with M args (M = upstream block count) — fine at thousands
-    of blocks, but at 100 TB M is ~10^5-10^6 and a task spec with that
-    many object refs breaks long before the data does.  With a fan-in
-    cap the splits are combined in a tree of concat-only tasks (each
-    ≤ fanin args, O(log_fanin M) levels) and ``fn`` runs once at the
-    root, so per-task arg count and driver task-spec size stay bounded
-    regardless of M.  Set it (e.g. 64) when the input has more than a
-    few thousand blocks; leave None for the flat single-level merge.
-
-    ``split_groups`` bounds the DRIVER'S ref matrix the same way.  The
-    single-level split holds M×P object refs on the driver (every map
-    block × every partition) — at 10^5-10^6 blocks and thousands of
-    partitions that is 10^8-10^9 refs, gigabytes of driver heap before
-    any data moves.  With ``split_groups=G`` each map block splits into
-    G SUPER-partitions first (M×G refs), and per super-partition,
-    bounded groups of ≤ merge_fanin super-splits refine into the final
-    partitions (≈ M×P/fanin refs) — a G + fanin-fold reduction, at the
-    cost of payload rows crossing the object store twice.  Leave None
-    (single pass, minimum data movement) until M×P threatens driver
-    memory; G ≈ sqrt(P) is a good default then.
-
-    Intra-partition ROW ORDER differs between the flat, tree-merge and
-    two-level paths (splits concatenate in different groupings) — fine
-    for any valid ``fn``, which must already group internally and be
-    insensitive to arrival order (LWW reductions, sorts, factorize).
+    The exchange is the engine core's Ray-task shuffle
+    (pipeline._exchange): each upstream block is split once by partition
+    (``num_returns=P``), each partition's splits are gathered zero-copy —
+    through a bounded fan-in tree of concat tasks past
+    ``pipeline._MERGE_FANIN`` blocks — and ``fn`` runs once per partition
+    at the root.  No sort of the rows, no Dataset all-to-all.  The result
+    is re-wrapped with ``from_arrow_refs`` so downstream Dataset ops keep
+    chaining.  Intra-partition row order depends on how the splits were
+    grouped — fine for any valid ``fn``, which must already group
+    internally and be insensitive to arrival order (LWW reductions,
+    sorts, factorize).
     """
-
-    def tag(batch: pa.Table) -> pa.Table:
-        part = (_hash_cols(batch, key_cols) % np.uint64(num_partitions))
-        return batch.append_column("__part", pa.array(part.astype(np.int32)))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-
     import ray
     import ray.data
 
-    # zero-row upstream blocks may have BYPASSED the tag UDF (Ray passes
-    # them through), so their schema lacks __part and any caller-added
-    # columns — if such a block's splits were the only survivors of an
-    # all-empty partition, fn would see the wrong empty schema.  Block
-    # metadata knows the row count; drop them at the source.
-    all_refs, block_refs = [], []
-    for bundle in tagged.iter_internal_ref_bundles():
-        for br, meta in bundle.blocks:
-            all_refs.append(br)
-            if meta.num_rows is None or meta.num_rows > 0:
-                block_refs.append(br)
+    from deltaray.pipeline import _exchange, _merge_shard, _split_block
+
+    def tag(batch: pa.Table) -> pa.Table:
+        shard = (_hash_cols(batch, key_cols) % np.uint64(num_partitions))
+        return batch.append_column("__shard", pa.array(shard.astype(np.int32)))
+
+    tagged = ds.map_batches(tag, batch_format="pyarrow")
+
+    # zero-row upstream blocks BYPASS the tag UDF (Ray passes them
+    # through with zero columns), so if such a block's splits were the
+    # only survivors of an all-empty partition, fn would see the wrong
+    # empty schema.  Block metadata knows the row count; drop them at
+    # the source.
+    block_refs = [br for bundle in tagged.iter_internal_ref_bundles()
+                  for br, meta in bundle.blocks
+                  if meta.num_rows is None or meta.num_rows > 0]
     if not block_refs:
-        block_refs = all_refs  # all-empty input: legacy pass-through
-    if not block_refs:
-        return tagged.drop_columns(["__part"])
-    fn_ref = ray.put(fn)
-    merge = ray.remote(_merge_part)
-    combine = ray.remote(_concat_splits)
+        # all-empty input: one typed empty block of the input schema
+        # stands in, so fn still types every partition (``ds.schema()``
+        # may run the input once more to learn it — only on this path)
+        base = getattr(ds.schema(), "base_schema", None)
+        if not isinstance(base, pa.Schema):
+            return tagged.drop_columns(["__shard"])
+        block_refs = [ray.put(tag(base.empty_table()))]
 
-    def tree_merge(refs):
-        if merge_fanin is not None:
-            while len(refs) > merge_fanin:
-                refs = [combine.remote(*refs[i:i + merge_fanin])
-                        for i in range(0, len(refs), merge_fanin)]
-        return merge.remote(fn_ref, *refs)
+    def untagged(block: pa.Table) -> pa.Table:
+        return fn(block.drop_columns(["__shard"]))
 
-    if split_groups is not None and num_partitions > 1:
-        span = -(-num_partitions // min(split_groups, num_partitions))
-        G = -(-num_partitions // span)
-        fanin = merge_fanin or 64
-        l1 = ray.remote(num_returns=G)(_split_super)
-        supers = [l1.remote(b, G, span) for b in block_refs]
-        if G == 1:
-            supers = [[s] for s in supers]
-        outs = [None] * num_partitions
-        for g in range(G):
-            lo = g * span
-            n_parts = min(span, num_partitions - lo)
-            refs_g = [supers[b][g] for b in range(len(supers))]
-            l2 = ray.remote(num_returns=n_parts)(_split_refine)
-            l2outs = [l2.remote(lo, n_parts, *refs_g[i:i + fanin])
-                      for i in range(0, len(refs_g), fanin)]
-            if n_parts == 1:
-                l2outs = [[o] for o in l2outs]
-            for j in range(n_parts):
-                outs[lo + j] = tree_merge([o[j] for o in l2outs])
-        return ray.data.from_arrow_refs(outs)
-
-    split = ray.remote(num_returns=num_partitions)(_split_by_part)
-    parts = [split.remote(b, num_partitions) for b in block_refs]
-    if num_partitions == 1:  # num_returns=1 yields a bare ref, not a tuple
-        parts = [[p] for p in parts]
-    outs = [tree_merge([parts[b][p] for b in range(len(parts))])
-            for p in range(num_partitions)]
+    fn_ref = ray.put(untagged)
+    split = ray.remote(num_returns=num_partitions)(_split_block)
+    merge = ray.remote(_merge_shard)
+    outs = _exchange([split.remote(b, num_partitions) for b in block_refs],
+                     num_partitions,
+                     lambda p, refs: merge.remote(fn_ref, *refs))
     return ray.data.from_arrow_refs(outs)
 
 

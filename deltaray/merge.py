@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 
 from deltaray.commit import (SCHEMA_META_KEY, LakeState, live_window,
                              read_data_file)
-from deltaray.schemas import TableSchema, code_to_type
+from deltaray.schemas import TOKENS, TableSchema, code_to_type
 from deltaray.transforms import lww_reduce, version_col_names
 from deltaray.util import cluster_sort
 
@@ -204,8 +204,8 @@ def strip_internal(tbl: pa.Table, with_previous: bool = False) -> pa.Table:
     drop = [c for c in tbl.column_names if c.startswith("__")]
     if drop:
         tbl = tbl.drop_columns(drop)
-    if prev is not None:
-        tbl = tbl.append_column("prev_tokens", prev)
+    if prev is not None:  # parquet reads name the list item "element"
+        tbl = tbl.append_column("prev_tokens", prev.cast(TOKENS))
     return tbl
 
 

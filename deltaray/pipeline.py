@@ -51,7 +51,8 @@ from deltaray.commit import (LAKE_FORMAT_VERSION, LakeState, atomic_write_json,
 from deltaray.config import ReplayConfig
 from deltaray.merge import (commit_partition, evolve_to, make_merge_fn,
                             strip_internal)
-from deltaray.schemas import DDL_OPS, TableSchema, apply_ddl, code_to_type
+from deltaray.schemas import (DDL_OPS, TOKENS, TableSchema, apply_ddl,
+                              code_to_type)
 from deltaray.transforms import (HASH_VERSION, TransformStage,
                                  apply_directives_to_schema)
 
@@ -83,9 +84,19 @@ class DeltaFailureError(RuntimeError):
     (delta-api/.../api/DeltaFailureException.java analog)."""
 
 
+# cap on object-ref args per combine/reduce task of an exchange: a shard
+# with more splits than this combines them in a tree of concat tasks
+# (O(log) levels) instead of one M-arg reduce, so task-spec size stays
+# bounded at cluster scale (M ~ 4x cluster CPUs per replay chunk)
+_MERGE_FANIN = 256
+
+
 def _split_block(block, n_shards: int):
-    """Map side of the task shuffle: one pass over the block — stable
-    argsort of the int __shard column, then zero-copy slices per shard."""
+    """Map side of every task exchange: one pass over the block — stable
+    argsort of the int __shard column, then zero-copy slices per shard
+    (each keeps the block's schema, tag included).  One slice comes back
+    bare: with ``num_returns=1`` Ray stores the whole return value as the
+    single output, so a 1-tuple would arrive as a tuple."""
     import numpy as np
     import pyarrow as pa
 
@@ -96,9 +107,33 @@ def _split_block(block, n_shards: int):
     tbl = block.take(pa.array(order))
     ss = shard[order]
     bounds = np.searchsorted(ss, np.arange(n_shards + 1))
-    return tuple(
+    splits = tuple(
         tbl.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(n_shards)
     )
+    return splits[0] if n_shards == 1 else splits
+
+
+def _exchange(split_refs: list, n_shards: int, reduce, order=None) -> list:
+    """Reduce side of every task exchange: ``split_refs`` holds one
+    ``num_returns=n_shards`` split task's refs per upstream block.  Each
+    shard's refs are combined in a tree of :func:`_combine_splits` tasks
+    of at most ``_MERGE_FANIN`` args, then ``reduce(s, refs)`` submits
+    the shard's reduce task — in ``order`` when given.  Returns the
+    reduce refs in shard order, without blocking."""
+    import ray
+
+    if n_shards == 1:  # num_returns=1 yields a bare ref, not a tuple
+        split_refs = [[r] for r in split_refs]
+    combine = ray.remote(_combine_splits)
+    fanin = _MERGE_FANIN
+    out: list = [None] * n_shards
+    for s in range(n_shards) if order is None else order:
+        refs = [b[s] for b in split_refs]
+        while len(refs) > fanin:
+            refs = [combine.remote(*refs[i:i + fanin])
+                    for i in range(0, len(refs), fanin)]
+        out[s] = reduce(s, refs)
+    return out
 
 
 def _read_transform_split(path: str, row_groups: list[int], columns: list[str],
@@ -115,11 +150,7 @@ def _read_transform_split(path: str, row_groups: list[int], columns: list[str],
     mask = pc.and_(pc.greater(t["seq"], seq_lo), pc.less_equal(t["seq"], seq_hi))
     if not pc.all(mask).as_py():
         t = t.filter(mask)
-    out = stage(t)
-    splits = _split_block(out, n_shards)
-    # with num_returns=1 Ray treats the whole return value as the single
-    # output, so hand back the bare table rather than a 1-tuple
-    return splits[0] if n_shards == 1 else splits
+    return _split_block(stage(t), n_shards)
 
 
 def _plan_read_units(files: list[str], seq_lo: int, seq_hi: int,
@@ -178,17 +209,22 @@ def _scan_segment_ddl(path: str) -> list[dict]:
     return t.to_pylist()
 
 
+def _gather(tables) -> pa.Table:
+    """Concat one shard's splits; with no rows, the first schema-full
+    empty split (skipping zero-column ones: Ray Data hands zero-row
+    blocks on without their columns), so a reduce still sees its typed
+    empty partition."""
+    tabs = [t for t in tables if t.num_rows]
+    if tabs:
+        return pa.concat_tables(tabs, promote_options="default")
+    typed = [t for t in tables if t.num_columns]
+    return typed[0] if typed else tables[0]
+
+
 def _merge_shard(merge_fn, *tables):
     """Reduce side: gather this shard's splits (zero-copy object store
-    reads) and run the per-partition merge-apply."""
-    import pyarrow as pa
-
-    from deltaray.merge import LINEAGE_SCHEMA
-
-    tabs = [t for t in tables if t is not None and t.num_rows]
-    if not tabs:
-        return LINEAGE_SCHEMA.empty_table()
-    return merge_fn(pa.concat_tables(tabs, promote_options="none"))
+    reads) and run the per-partition reduce on them."""
+    return merge_fn(_gather(tables))
 
 
 def _cancel_refs(refs: list, timeout_s: float = 30.0) -> None:
@@ -230,14 +266,9 @@ def _merge_shard_after(merge_fn, _prev_lineage, *tables):
 
 
 def _combine_splits(*tables):
-    """Tree-merge inner node: concat a bounded group of one shard's
-    splits (None = empty split, propagated)."""
-    import pyarrow as pa
-
-    tabs = [t for t in tables if t is not None and t.num_rows]
-    if not tabs:
-        return None
-    return pa.concat_tables(tabs, promote_options="none")
+    """Fan-in tree inner node: concat a bounded group of one shard's
+    splits (:func:`_gather`)."""
+    return _gather(tables)
 
 
 @dataclass
@@ -548,10 +579,11 @@ class ReplaySession:
         object store exactly once — no sort of fat token rows, no Dataset
         materialize barrier, no separate split pass; measured ~3x faster
         than the Dataset sort shuffle on the 11M-event log.
-        This is the one place the engine drops below the Dataset API: Ray
-        Data's groupby cannot express partition-without-order, which is all
-        the merge needs (per-key LWW makes intra-shard order irrelevant,
-        SURVEY §2.6).
+        The engine drops below the Dataset API only here and in the other
+        users of :func:`_exchange` (``hash_partitioned``, the MinHash pair
+        flow): Ray Data's groupby cannot express partition-without-order,
+        which is all the merge needs (per-key LWW makes intra-shard order
+        irrelevant, SURVEY §2.6).
 
         Returns the per-shard merge refs WITHOUT blocking.  With
         ``prev_refs`` (the previous chunk's merge refs, same shard
@@ -567,29 +599,24 @@ class ReplaySession:
         if not units:
             return []
         rts = ray.remote(num_returns=n_shards)(_read_transform_split)
-        parts = [
+        splits = [
             rts.remote(path, rgs, columns, chunk.seq_lo, chunk.seq_hi,
                        stage, n_shards)
             for path, rgs in units
         ]
-        if n_shards == 1:  # num_returns=1 yields a bare ref, not a tuple
-            parts = [[p] for p in parts]
-        merge_task = ray.remote(_merge_shard)
-        merge_after = ray.remote(_merge_shard_after)
-        combine = ray.remote(_combine_splits)
-        fanin = max(2, self.cfg.merge_fanin)
-        out: list = [None] * n_shards
         chain = prev_refs if prev_refs and len(prev_refs) == n_shards else None
-        for s in self._shard_order(n_shards):
-            refs = [parts[b][s] for b in range(len(parts))]
-            while len(refs) > fanin:
-                refs = [combine.remote(*refs[i:i + fanin])
-                        for i in range(0, len(refs), fanin)]
-            if chain is not None:
-                out[s] = merge_after.remote(merge, chain[s], *refs)
-            else:
-                out[s] = merge_task.remote(merge, *refs)
-        return out
+        if chain is None:
+            merge_task = ray.remote(_merge_shard)
+
+            def reduce(s, refs):
+                return merge_task.remote(merge, *refs)
+        else:
+            merge_after = ray.remote(_merge_shard_after)
+
+            def reduce(s, refs):
+                return merge_after.remote(merge, chain[s], *refs)
+        return _exchange(splits, n_shards, reduce,
+                         order=self._shard_order(n_shards))
 
     def _shard_order(self, n_shards: int) -> list[int]:
         """Merge submission order: heaviest shards first (LPT heuristic).
@@ -840,8 +867,7 @@ def bootstrap_table(cfg: ReplayConfig, schema, snapshot_ds,
         for i in range(n_sk):
             t = t.append_column(f"__sk{i}", z)
         if track_prev:
-            t = t.append_column("__prev_tokens",
-                               pa.nulls(n, pa.list_(pa.int32())))
+            t = t.append_column("__prev_tokens", pa.nulls(n, TOKENS))
         return t.append_column("__deleted",
                                pa.array(np.zeros(n, dtype=bool)))
 
@@ -1380,8 +1406,7 @@ def read_table(lake_root: str, table: str, generation: int = 0,
         return lake.schemas_for(table)[0].arrow_schema().empty_table()
     out_schema = schema.arrow_schema()
     if with_previous:
-        out_schema = out_schema.append(pa.field("prev_tokens",
-                                                pa.list_(pa.int32())))
+        out_schema = out_schema.append(pa.field("prev_tokens", TOKENS))
     live_of = _live_parts_asof(lake, table, before)
     load = _partition_scan(lake, table, schema, out_schema.names,
                            None if before is None else live_of,
@@ -1597,8 +1622,7 @@ def read_table_ds(lake_root: str, table: str, generation: int = 0,
             lake.schemas_for(table)[0].arrow_schema().empty_table())
     out_schema = schema.arrow_schema()
     if with_previous:
-        out_schema = out_schema.append(pa.field("prev_tokens",
-                                                pa.list_(pa.int32())))
+        out_schema = out_schema.append(pa.field("prev_tokens", TOKENS))
     live_of = _live_parts_asof(lake, table, before)
     parts = list(live_of)
     # generation meta, read once per call (ordering / partitioner /

@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from deltaray.config import ReplayConfig
-from deltaray.schemas import DML_OPS, TableSchema, code_to_type
+from deltaray.schemas import DML_OPS, TOKENS, TableSchema, code_to_type
 
 # version columns stored in the lake next to payload; max-version-wins
 # merge makes replay idempotent and UN_ORDERED late data correct across
@@ -502,7 +502,7 @@ class TransformStage:
             ("__seq", pa.int64()),
             ("__src_ts", pa.int64()),
             *[(f"__sk{i}", pa.int64()) for i in range(self.n_sk)],
-            *([("__prev_tokens", pa.list_(pa.int32()))]
+            *([("__prev_tokens", TOKENS)]
               if self.track_previous else []),
             ("__deleted", pa.bool_()),
             ("__op", pa.string()),
@@ -608,9 +608,9 @@ class TransformStage:
             # DeltaWorker.transformDMLEvent:507-543): run the chain over a
             # one-column table named like the ORIGINAL token column, then
             # pick whatever name the chain mapped it to.
-            prev = (sub["prev_tokens"].cast(pa.list_(pa.int32()))
+            prev = (sub["prev_tokens"].cast(TOKENS)
                     if "prev_tokens" in sub.column_names
-                    else pa.nulls(len(sub), pa.list_(pa.int32())))
+                    else pa.nulls(len(sub), TOKENS))
             chain = self.chains.get(t, [])
             if chain:
                 ptbl = pa.table({"tokens": prev})
@@ -622,7 +622,7 @@ class TransformStage:
                     prev = ptbl[pname]
                     if isinstance(prev, pa.ChunkedArray):
                         prev = prev.combine_chunks()
-                    prev = prev.cast(pa.list_(pa.int32()))
+                    prev = prev.cast(TOKENS)
             out = out.append_column("__prev_tokens", prev)
         out = out.append_column("__deleted", deleted)
         out = out.append_column("__op", sub["op"])

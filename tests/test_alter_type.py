@@ -288,3 +288,26 @@ def test_reads_return_declared_list_item_name(tmp_log, tmp_lake):
         assert blocks
         for b in blocks:
             check(b.schema, want)
+
+    # a track_previous lake: the stored before-image surfaces as
+    # ``prev_tokens`` with the declared tokens type, item name included
+    prev_lake = tmp_lake + "_prev"
+    replay(ReplayConfig(event_log=tmp_log, lake=prev_lake, num_partitions=2,
+                        chunk_max_events=200, compact_every=3,
+                        vacuum=False, track_previous=True))
+    with_prev = declared.append(pa.field("prev_tokens",
+                                         declared.field("tokens").type))
+
+    def check_prev(schema):
+        check(schema, with_prev)
+        assert schema.field("prev_tokens").type.value_field.name == "item"
+
+    head = read_table(prev_lake, "docs", with_previous=True)
+    assert head.num_rows
+    check_prev(head.schema)
+    ds = read_table_ds(prev_lake, "docs", with_previous=True)
+    check_prev(ds.schema().base_schema)
+    blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+    assert blocks
+    for b in blocks:
+        check_prev(b.schema)

@@ -207,6 +207,7 @@ def test_broadcast_enrich_missing_keys_null():
 
 
 def test_hash_partitioned_key_colocation():
+    import pyarrow.compute as pc
     import ray.data
 
     from deltaray.functions.partition import group_codes, hash_partitioned
@@ -221,13 +222,34 @@ def test_hash_partitioned_key_colocation():
         _, first, counts = np.unique(codes, return_index=True,
                                      return_counts=True)
         return pa.table({"k": block["k"].take(pa.array(first)),
-                         "n": pa.array(counts)})
+                         "n": pa.array(counts, pa.int64())})
 
     out = hash_partitioned(ray.data.from_arrow(tbl), ["k"], per_key_counts,
                            num_partitions=16).to_pandas()
     # one output row per key (no key split across partitions), full counts
     assert len(out) == 997
     assert out["n"].sum() == n
+
+    # empty partitions: every output block keeps fn's typed schema, for
+    # upstream zero-row blocks, more partitions than keys, and an
+    # all-empty input (fn then sees typed empty blocks of the input)
+    want = pa.schema([("k", pa.string()), ("n", pa.int64())])
+    empty = tbl.slice(0, 0)
+    few = tbl.filter(pa.array(np.arange(n) % 997 < 3))
+    for blocks, parts, keys in (
+            ([empty, tbl.slice(0, n // 2), empty, tbl.slice(n // 2)], 16, 997),
+            ([few], 64, 3),
+            ([empty, empty], 8, 0)):
+        out = hash_partitioned(ray.data.from_arrow(blocks), ["k"],
+                               per_key_counts, num_partitions=parts)
+        got = ray.get(out.to_arrow_refs())
+        assert len(got) == parts
+        assert all(b.schema.equals(want) for b in got), \
+            {str(b.schema) for b in got}
+        assert out.schema().base_schema.equals(want)
+        assert sum(b.num_rows for b in got) == keys
+        assert sum(int(pc.sum(b["n"]).as_py() or 0)
+                   for b in got) == sum(b.num_rows for b in blocks)
 
 
 def test_group_codes_composite_key():
@@ -1064,8 +1086,11 @@ def test_hash_partitioned_tree_merge_matches_flat():
     """A fan-in-capped (tree) merge produces exactly the flat exchange's
     result, including schema-ful empty partitions, across multiple
     combine levels (fanin=2 over 20 blocks -> 5 levels)."""
+    from unittest import mock
+
     import ray.data
 
+    from deltaray import pipeline
     from deltaray.functions.partition import (hash_partitioned,
                                               take_first_per_key)
 
@@ -1079,45 +1104,16 @@ def test_hash_partitioned_tree_merge_matches_flat():
     def first_per_key(block: pa.Table) -> pa.Table:
         return take_first_per_key(block, ["k", "v"])
 
-    def run(**kw):
-        out = hash_partitioned(ray.data.from_arrow(blocks), ["k"],
-                               first_per_key, num_partitions=7, **kw)
-        return out.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
+    def run(fanin):
+        with mock.patch.object(pipeline, "_MERGE_FANIN", fanin):
+            out = hash_partitioned(ray.data.from_arrow(blocks), ["k"],
+                                   first_per_key, num_partitions=7)
+            return out.to_pandas().sort_values(["k", "v"]) \
+                .reset_index(drop=True)
 
-    assert run().equals(run(merge_fanin=2))
-    assert run().equals(run(merge_fanin=64))  # cap above M: flat path
-
-
-def test_hash_partitioned_two_level_split_matches_flat():
-    """The super-partition (two-level) split yields exactly the flat
-    exchange's result for G dividing P, G not dividing P, G=1, G>=P,
-    and with a merge fan-in cap stacked on top."""
-    import ray.data
-
-    from deltaray.functions.partition import (hash_partitioned,
-                                              take_first_per_key)
-
-    rng = np.random.default_rng(13)
-    tbl = pa.table({
-        "k": pa.array(rng.integers(0, 50, size=500), pa.int64()),
-        "v": pa.array(rng.integers(0, 10**6, size=500), pa.int64()),
-    })
-    blocks = [tbl.slice(i, 25) for i in range(0, 500, 25)]
-
-    def first_per_key(block: pa.Table) -> pa.Table:
-        return take_first_per_key(block, ["k", "v"])
-
-    def run(**kw):
-        out = hash_partitioned(ray.data.from_arrow(blocks), ["k"],
-                               first_per_key, num_partitions=10, **kw)
-        return out.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
-
-    flat = run()
-    assert flat.equals(run(split_groups=5))          # G divides P
-    assert flat.equals(run(split_groups=3))          # span=4, G=3 ragged
-    assert flat.equals(run(split_groups=1))          # degenerate: one super
-    assert flat.equals(run(split_groups=100))        # G clamped to P
-    assert flat.equals(run(split_groups=3, merge_fanin=2))
+    flat = run(256)
+    assert flat.equals(run(2))
+    assert flat.equals(run(64))  # cap above M: flat path
 
 
 def test_repetition_score_edges():

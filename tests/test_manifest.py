@@ -278,7 +278,7 @@ def test_manifest_config_roundtrip():
     assert d["manifest_every"] == 7
     assert config_from_dict(d).manifest_every == 7
     # drafts saved with since-removed knobs still load
-    old = dict(d, shuffle="sort", batch_size=16384)
+    old = dict(d, shuffle="sort", batch_size=16384, merge_fanin=256)
     assert config_from_dict(old).manifest_every == 7
     with pytest.raises(ValueError, match="manifest_every"):
         ReplayConfig(event_log="/tmp/e", lake="/tmp/l", manifest_every=-1)

@@ -3,11 +3,14 @@ DDL interleavings, orderings, chunkings and partition counts all
 reproduce the single-process oracle's final table exactly.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from deltaray import ReplayConfig, TableConfig, replay, replay_oracle
+from deltaray import (ReplayConfig, TableConfig, pipeline, replay,
+                      replay_oracle)
 from deltaray.gen import write_event_log
 from deltaray.oracle import tables_equal
 from deltaray.pipeline import read_table
@@ -101,13 +104,14 @@ def test_random_replay_equals_oracle(case, tmp_path_factory):
         compact_every=case["compact_every"],
         track_previous=case["track_prev"],
         sort_key_components=case["n_sk"],
-        merge_fanin=case.get("merge_fanin", 256),
         pipeline_chunks=case.get("pipeline_chunks", 2),
         manifest_every=case.get("manifest_every", 64),
         tables=[TableConfig("docs", transformations=case["directives"])]
         if case["directives"] else [],
     )
-    replay(cfg)
+    with mock.patch.object(pipeline, "_MERGE_FANIN",
+                           case.get("merge_fanin", 256)):
+        replay(cfg)
     oracle = replay_oracle(cfg)
     for t in tables:
         if t not in oracle:

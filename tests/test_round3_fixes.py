@@ -333,9 +333,11 @@ def test_drop_database_no_recreate_empties_table(tmp_log, tmp_lake):
 
 
 def test_replay_tree_merge_matches_oracle(ray_session, tmp_log, tmp_lake):
-    """merge_fanin=2 forces multi-level combine trees in the exchange;
+    """A fan-in cap of 2 forces multi-level combine trees in the exchange;
     the materialized table must equal the serial oracle exactly."""
-    from deltaray import replay_oracle
+    from unittest import mock
+
+    from deltaray import pipeline, replay_oracle
     from deltaray.gen import write_event_log
     from deltaray.oracle import tables_equal
     from deltaray.pipeline import read_table
@@ -343,8 +345,9 @@ def test_replay_tree_merge_matches_oracle(ray_session, tmp_log, tmp_lake):
     write_event_log(tmp_log, n_docs=300, n_events=4000, seed=31,
                     segment_max_events=500)
     cfg = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=4,
-                       chunk_max_events=1500, merge_fanin=2)
-    replay(cfg)
+                       chunk_max_events=1500)
+    with mock.patch.object(pipeline, "_MERGE_FANIN", 2):
+        replay(cfg)
     ok, msg = tables_equal(read_table(tmp_lake, "docs"),
                            replay_oracle(cfg)["docs"])
     assert ok, msg

@@ -28,3 +28,34 @@ def test_read_partition_takes_io_stats():
 
     params = inspect.signature(LakeState.read_partition).parameters
     assert "io_stats" in params
+
+
+def test_exchange_tasks_defined_in_pipeline():
+    """Workers resolve pickled task functions by ``__module__`` and the
+    tracer rebinds them in ``deltaray.pipeline``: a task function defined
+    elsewhere and re-exported would run untraced."""
+    from deltaray import pipeline
+
+    for name in sorted(trace.EXCHANGE_TASKS):
+        fn = getattr(pipeline, name)
+        assert fn.__module__ == "deltaray.pipeline", (name, fn.__module__)
+
+
+def test_merge_shard_after_reaches_module_merge_shard(monkeypatch):
+    """The tracer wraps only ``pipeline._merge_shard`` in workers; the
+    chained reduce must call it through the module global, or traced
+    runs record no merge calls."""
+    import pyarrow as pa
+
+    from deltaray import pipeline
+
+    calls = []
+
+    def spy(merge_fn, *tables):
+        calls.append(len(tables))
+        return merge_fn(*tables)
+
+    monkeypatch.setattr(pipeline, "_merge_shard", spy)
+    tbl = pa.table({"x": [1, 2]})
+    assert pipeline._merge_shard_after(lambda t: t, None, tbl) is tbl
+    assert calls == [1]
