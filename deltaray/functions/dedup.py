@@ -22,7 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from deltaray.functions.partition import (group_codes, hash_partitioned,
+from deltaray.functions.partition import (_hash_cols, _tag_split,
+                                           group_codes, hash_partitioned,
                                            take_first_per_key)
 from deltaray.transforms import stable_hash_strings
 
@@ -346,7 +347,7 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
     hasher = MinHasher(num_hashes=num_hashes, seed=seed, shingle_k=shingle_k)
 
     def sig_map(batch: pa.Table) -> pa.Table:
-        sigs = hasher.signatures(batch["text"].to_pylist())
+        sigs = hasher.signatures_from_arrow(batch["text"])
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({id_col: pa.array(ids), "sig": _sig_binary(sigs)})
 
@@ -363,8 +364,6 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
     # synchronization points are the sig materialize above and whoever
     # consumes the returned Dataset.
     P = num_partitions
-
-    from deltaray.functions.partition import _hash_cols
 
     def band_explode(block: pa.Table) -> pa.Table:
         """(id, sig) block → (band, band_hash, id, __shard) rows;
@@ -471,7 +470,7 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
     attach_b_r = ray.remote(attach_b)
 
     # sig partitions (for attach): split each sig block by hash(id) —
-    # the __shard tag is computed inside the split task via a tiny shim
+    # the __shard tag is computed inside the split task
     sig_parts = _exchange([tag_and_split.remote(b, [id_col], P)
                            for b in sig_blocks], P,
                           lambda p, refs: combine.remote(*refs))
@@ -484,16 +483,6 @@ def minhash_lsh_pairs(ds, *, num_hashes: int = 64, bands: int = 16,
     final = _exchange([split.remote(t, P) for t in with_a], P,
                       lambda p, refs: attach_b_r.remote(sig_parts[p], *refs))
     return ray.data.from_arrow_refs(final)
-
-
-def _tag_split(block: pa.Table, key_cols, P: int):
-    """Remote shim: tag ``block`` with __shard = hash(key_cols) % P, then
-    split (used where the producer did not pre-tag)."""
-    from deltaray.functions.partition import _hash_cols
-    from deltaray.pipeline import _split_block
-
-    shard = (_hash_cols(block, key_cols) % np.uint64(P)).astype(np.int32)
-    return _split_block(block.append_column("__shard", pa.array(shard)), P)
 
 
 class SimHasher:

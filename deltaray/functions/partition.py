@@ -79,20 +79,13 @@ def hash_partitioned(ds, key_cols: list[str], fn, *, num_partitions: int = 64):
     import ray
     import ray.data
 
-    from deltaray.pipeline import _exchange, _merge_shard, _split_block
+    from deltaray.pipeline import _exchange, _merge_shard
 
-    def tag(batch: pa.Table) -> pa.Table:
-        shard = (_hash_cols(batch, key_cols) % np.uint64(num_partitions))
-        return batch.append_column("__shard", pa.array(shard.astype(np.int32)))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-
-    # zero-row upstream blocks BYPASS the tag UDF (Ray passes them
-    # through with zero columns), so if such a block's splits were the
-    # only survivors of an all-empty partition, fn would see the wrong
-    # empty schema.  Block metadata knows the row count; drop them at
-    # the source.
-    block_refs = [br for bundle in tagged.iter_internal_ref_bundles()
+    # the __shard tag is computed inside each split task (_tag_split),
+    # so no map stage ever sees the zero-row, zero-column blocks Ray
+    # Data passes through; block metadata knows their row count, so
+    # they are dropped at the source
+    block_refs = [br for bundle in ds.iter_internal_ref_bundles()
                   for br, meta in bundle.blocks
                   if meta.num_rows is None or meta.num_rows > 0]
     if not block_refs:
@@ -101,19 +94,34 @@ def hash_partitioned(ds, key_cols: list[str], fn, *, num_partitions: int = 64):
         # may run the input once more to learn it — only on this path)
         base = getattr(ds.schema(), "base_schema", None)
         if not isinstance(base, pa.Schema):
-            return tagged.drop_columns(["__shard"])
-        block_refs = [ray.put(tag(base.empty_table()))]
+            return ds
+        block_refs = [ray.put(base.empty_table())]
 
     def untagged(block: pa.Table) -> pa.Table:
         return fn(block.drop_columns(["__shard"]))
 
     fn_ref = ray.put(untagged)
-    split = ray.remote(num_returns=num_partitions)(_split_block)
+    split = ray.remote(num_returns=num_partitions)(_tag_split)
     merge = ray.remote(_merge_shard)
-    outs = _exchange([split.remote(b, num_partitions) for b in block_refs],
+    outs = _exchange([split.remote(b, key_cols, num_partitions)
+                      for b in block_refs],
                      num_partitions,
                      lambda p, refs: merge.remote(fn_ref, *refs))
     return ray.data.from_arrow_refs(outs)
+
+
+def _tag_split(block: pa.Table, key_cols: list[str], P: int):
+    """Map side of a keyed exchange: tag ``block`` with
+    ``__shard = hash(key_cols) % P``, then split it by shard — the one
+    kernel behind ``hash_partitioned`` and the MinHash signature flight
+    (``dedup.minhash_lsh_pairs``).  Upstream blocks may be pandas."""
+    from ray.data.block import BlockAccessor
+
+    from deltaray.pipeline import _split_block
+
+    block = BlockAccessor.for_block(block).to_arrow()
+    shard = (_hash_cols(block, key_cols) % np.uint64(P)).astype(np.int32)
+    return _split_block(block.append_column("__shard", pa.array(shard)), P)
 
 
 _mix64 = mix64  # shared splitmix64 finalizer (transforms.mix64)

@@ -324,7 +324,8 @@ def _catch_up_lineage(lake: LakeState, table: str, part: int) -> None:
 
 
 def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
-                  effective_json: dict[str, str], num_partitions: int,
+                  tables: list[str], effective_json: dict[str, str],
+                  num_partitions: int,
                   vacuum: bool = True, compact_every: int = 8,
                   cluster_by=None, cluster_row_group_rows: int = 32768,
                   manifest_every: int = 0):
@@ -337,14 +338,18 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
     worker can process any partition, task retries are safe, and resume
     needs no state handoff.  (Ray translation of the reference's ST8
     "state lives in the target" — EventConsumer.java:58-66.)
+
+    ``tables`` is the chunk's shard→table map (``TransformStage.tables``):
+    shard ``s`` is partition ``s % P`` of table ``tables[s // P]``.
     """
     effective = {t: TableSchema.from_json(s) for t, s in effective_json.items()}
 
     def merge(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
             return LINEAGE_SCHEMA.empty_table()
-        tname = group["__table"][0].as_py()
-        part = int(group["__shard"][0].as_py()) % num_partitions
+        shard = int(group["__shard"][0].as_py())
+        tname = tables[shard // num_partitions]
+        part = shard % num_partitions
         schema = effective[tname]
         lake = LakeState(lake_root, generation)
         import os
@@ -383,31 +388,8 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
         bytes_in = group.nbytes
 
         changes = group.drop_columns(
-            ["__shard", "__table", "__op", "__n_ins", "__n_upd", "__n_del",
-             "__n_snap"]
+            ["__shard", "__op", "__n_ins", "__n_upd", "__n_del", "__n_snap"]
         )
-        # multi-table chunks shuffle under ONE union schema; the lake file
-        # must carry only THIS table's columns — a foreign table's column
-        # surviving here collides after rename chains (e.g. docs renames
-        # source→origin while logs still has source)
-        own = set(schema.column_names())
-        keep = [c for c in changes.column_names
-                if c.startswith("__") or c in own]
-        if len(keep) != changes.num_columns:
-            changes = changes.select(keep)
-        # multi-table transport may have PROMOTED a shared column name to
-        # a wider type (see TransformStage's union schema); the lake file
-        # must carry THIS table's exact types — cast back (safe: values
-        # originated under this table's schema, so narrowing is lossless
-        # and an overflow would mean corruption and rightly raises)
-        own_arrow = schema.arrow_schema()
-        for i, cname in enumerate(changes.column_names):
-            if cname.startswith("__"):
-                continue
-            want_t = own_arrow.field(cname).type
-            if changes[cname].type != want_t:
-                changes = changes.set_column(
-                    i, cname, changes[cname].cast(want_t))
         # phase-2 LWW over the full shard (phase 1 ran per batch upstream)
         changes = lww_reduce(changes, schema.keys)
 

@@ -139,10 +139,16 @@ def _exchange(split_refs: list, n_shards: int, reduce, order=None) -> list:
 def _read_transform_split(path: str, row_groups: list[int], columns: list[str],
                           seq_lo: int, seq_hi: int, stage, n_shards: int):
     """Fused map task: decode a row-group bundle, filter to the chunk's seq
-    range, run the (vectorized) TransformStage, split by shard — one task,
-    one pass, no intermediate materialization.  Fusing read+transform+split
-    halves the object-store traffic vs a Dataset map stage followed by a
-    separate split stage."""
+    range, then per replayed table present run the (vectorized)
+    TransformStage on that table's rows and split them by shard — one
+    task, one pass, no intermediate materialization.  Fusing
+    read+transform+split halves the object-store traffic vs a Dataset
+    map stage followed by a separate split stage.
+
+    Shard ``s`` holds table ``stage.tables[s // P]`` only, so it takes
+    that table's split, or the table's typed empty when the unit has no
+    rows of it: every split carries exactly one table's transport
+    schema.  Rows of tables not replayed are dropped here (F3)."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
@@ -150,7 +156,21 @@ def _read_transform_split(path: str, row_groups: list[int], columns: list[str],
     mask = pc.and_(pc.greater(t["seq"], seq_lo), pc.less_equal(t["seq"], seq_hi))
     if not pc.all(mask).as_py():
         t = t.filter(mask)
-    return _split_block(stage(t), n_shards)
+    names = pc.unique(t["table"]).to_pylist()
+    by_table = {}
+    for name in names:
+        if name not in stage.table_index:
+            continue
+        sub = t if len(names) == 1 else t.filter(pc.equal(t["table"], name))
+        splits = _split_block(stage(sub), n_shards)
+        by_table[name] = splits if n_shards > 1 else (splits,)
+    P = n_shards // len(stage.tables)
+    out = []
+    for s in range(n_shards):
+        name = stage.tables[s // P]
+        out.append(by_table[name][s] if name in by_table
+                   else stage.out_schemas[name].empty_table())
+    return out[0] if n_shards == 1 else tuple(out)
 
 
 def _plan_read_units(files: list[str], seq_lo: int, seq_hi: int,
@@ -535,13 +555,15 @@ class ReplaySession:
             needed.add("prev_tokens")
         present = set(pq.read_schema(files[0]).names)
         columns = sorted(needed & present)
-        stage = TransformStage(cfg, dict(self.schemas), self._effective())
+        effective = self._effective()
+        stage = TransformStage(cfg, dict(self.schemas), effective)
         merge = make_merge_fn(
             cfg.lake,
             cfg.generation,
             chunk.seq_lo,
             chunk.seq_hi,
-            {t: s.to_json() for t, s in self._effective().items()},
+            stage.tables,
+            {t: s.to_json() for t, s in effective.items()},
             cfg.num_partitions,
             vacuum=cfg.vacuum,
             compact_every=cfg.compact_every,
@@ -549,7 +571,7 @@ class ReplaySession:
             cluster_row_group_rows=cfg.cluster_row_group_rows,
             manifest_every=cfg.manifest_every,
         )
-        n_shards = cfg.num_partitions * max(1, len(self.schemas))
+        n_shards = cfg.num_partitions * len(stage.tables)
         return files, columns, stage, merge, n_shards
 
     def _submit_chunk(self, chunk: Chunk,
@@ -616,9 +638,9 @@ class ReplaySession:
             def reduce(s, refs):
                 return merge_after.remote(merge, chain[s], *refs)
         return _exchange(splits, n_shards, reduce,
-                         order=self._shard_order(n_shards))
+                         order=self._shard_order(stage.tables))
 
-    def _shard_order(self, n_shards: int) -> list[int]:
+    def _shard_order(self, tables: list[str]) -> list[int]:
         """Merge submission order: heaviest shards first (LPT heuristic).
 
         Ray dispatches ready tasks roughly in submission order, so with
@@ -628,20 +650,20 @@ class ReplaySession:
         all the small ones.  Weight = events the shard applied in the
         previous chunk (skew is persistent across a hot-key workload);
         unseen shards keep index order.  Pure reordering — every shard
-        is still submitted exactly once, so correctness is untouched."""
+        is still submitted exactly once, so correctness is untouched.
+        ``tables`` is the chunk's shard→table map (``stage.tables``)."""
         import numpy as np
 
+        P = self.cfg.num_partitions
+        n_shards = P * len(tables)
         if not self._shard_weights:
             return list(range(n_shards))
-        P = self.cfg.num_partitions
-        tindex = {t: i for i, t in enumerate(sorted(self.schemas))}
+        tindex = {t: i for i, t in enumerate(tables)}
         w = np.zeros(n_shards, dtype=np.int64)
         for (t, p), n in self._shard_weights.items():
             ti = tindex.get(t)
             if ti is not None:
-                s = ti * P + int(p)
-                if 0 <= s < n_shards:
-                    w[s] = int(n)
+                w[ti * P + int(p)] = int(n)
         return list(np.argsort(-w, kind="stable"))
 
     # ---------------------------------------------------------------- run

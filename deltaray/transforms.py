@@ -4,7 +4,9 @@ pre-reduction.
 
 Reference parity:
 - F1/F2 DML+DDL blacklist filters (QueueingEventEmitter.java:96-125);
-- F3 unknown-table filter (QueueingEventEmitter.java:111,124);
+- F3 unknown-table filter (QueueingEventEmitter.java:111,124) — the
+  exchange's map task (pipeline._read_transform_split) hands the stage
+  the rows of replayed tables only, one table at a time;
 - F4 column whitelist (SourceTable.java:69-72);
 - F5/F6/F7 directive chains over rows and schemas
   (DeltaWorker.java:495-564, Transformation.java:27-58,
@@ -372,41 +374,28 @@ def _as_key_list(key) -> list[str]:
 
 
 # ------------------------------------------------------- engine transform
-def _lossless_promotion(src: pa.DataType, dst: pa.DataType) -> bool:
-    """True when every ``src`` value survives a cast to ``dst`` exactly —
-    the gate for cross-table transport promotion (int32→int64 yes;
-    int64→float64 no: floats carry 53 mantissa bits; integer→float64
-    yes up to 32-bit, →float32 up to 16-bit)."""
-    if src == dst:
-        return True
-    if pa.types.is_integer(src):
-        if pa.types.is_integer(dst):
-            return dst.bit_width > src.bit_width or (
-                dst.bit_width == src.bit_width
-                and pa.types.is_signed_integer(src)
-                == pa.types.is_signed_integer(dst))
-        if pa.types.is_floating(dst):
-            mant = {16: 11, 32: 24, 64: 53}[dst.bit_width]
-            return src.bit_width <= mant
-        return False
-    if pa.types.is_floating(src):
-        return pa.types.is_floating(dst) and dst.bit_width >= src.bit_width
-    return False
-
-
 class TransformStage:
-    """The stateless-per-batch event transform: filter → project →
+    """The stateless per-table event transform: filter → project →
     directives → version-stamp → per-batch LWW pre-reduce → shard label.
 
-    Used as ``ds.map_batches(TransformStage(cfg, schemas), batch_format=
-    "pyarrow")``.  Construction happens once per worker (actor) when passed
-    as a class — the compiled blacklist sets / directive chains are the
-    reference's per-table init state (DeltaWorker.java:217-267, ST6).
+    Called as ``stage(sub)`` on ONE table's rows of a read unit — the
+    exchange's map task (``pipeline._read_transform_split``) groups each
+    unit by ``table`` first.  Construction happens once per replay chunk
+    on the driver; the compiled blacklist sets / directive chains are
+    the reference's per-table init state (DeltaWorker.java:217-267, ST6)
+    and ship to the map tasks inside the pickled stage.
+
+    ``tables`` is THE shard→table map of the chunk: shard ``s`` holds
+    table ``tables[s // P]`` only (``__shard = index × P + hash(key) %
+    P``), so each table's rows travel under that table's own transport
+    schema ``out_schemas[t]`` — its effective lake schema plus the
+    internal columns — exactly as the reference applies each table's
+    events under that table's schema alone.
 
     The per-batch LWW pre-reduction is phase 1 of the two-phase
     last-writer-wins reduction (north_rule skew handling): within each
-    batch only the max-version event per (table, key) survives, so a hot
-    key contributes at most one row per batch to the shuffle instead of
+    batch only the max-version event per key survives, so a hot key
+    contributes at most one row per batch to the shuffle instead of
     every occurrence.  Phase 2 happens per shard in the merge stage.
     LWW is associative+commutative over unique versions, so pre-reducing
     any subset is safe.
@@ -422,7 +411,6 @@ class TransformStage:
         self.track_previous = cfg.track_previous
         self.n_sk = cfg.sort_key_components
         self.num_partitions = cfg.num_partitions
-        self.table_set = cfg.table_names  # empty = all tables
         self.dml_bl = {t: cfg.dml_blacklist_for(t) for t in schemas}
         self.global_dml_bl = set(cfg.dml_blacklist)
         # resolve directive names HERE (driver side): the compiled chain —
@@ -443,67 +431,13 @@ class TransformStage:
         }
         self.schemas = schemas              # DDL schema per table (pre-directive)
         self.effective = effective_schemas  # post-directive lake schema
-        self.table_index = {t: i for i, t in enumerate(sorted(schemas))}
-        # one fixed output schema for every batch (union of all tables'
-        # effective payloads) so the downstream groupby shuffle sees
-        # homogeneous blocks
-        fields: dict[str, pa.DataType] = {}
-        for eff in effective_schemas.values():
-            for n, c in eff.fields:
-                t = code_to_type(c)
-                if n in fields and fields[n] != t:
-                    # same column name, different types across co-replayed
-                    # tables (declared so, or one table ALTERed mid-stream):
-                    # transport under the PROMOTED type — _conform casts
-                    # every table's rows up losslessly, and the merge casts
-                    # each table's rows back to ITS effective schema before
-                    # the lake write, so files stay exactly typed per table.
-                    # Truly incompatible pairs (e.g. string vs int) still
-                    # fail fast here.
-                    is_key = any(n in e.keys
-                                 for e in effective_schemas.values())
-                    if is_key and not (pa.types.is_integer(fields[n])
-                                       and pa.types.is_integer(t)):
-                        # key columns route by hashed VALUE: integer
-                        # widening is value-preserving (int32 5 and
-                        # int64 5 hash identically) but e.g. float
-                        # width changes alter the hashed value and
-                        # would mis-route — keep the fail-fast there
-                        raise ValueError(
-                            f"key column {n!r} type conflict across "
-                            f"tables ({fields[n]} vs {t}); only integer "
-                            f"widening is routable")
-                    try:
-                        uni = pa.unify_schemas(
-                            [pa.schema([pa.field(n, fields[n])]),
-                             pa.schema([pa.field(n, t)])],
-                            promote_options="permissive")
-                        promoted = uni.field(n).type
-                    except (pa.lib.ArrowInvalid,
-                            pa.lib.ArrowTypeError) as exc:
-                        raise ValueError(
-                            f"column {n!r} type conflict across tables "
-                            f"({fields[n]} vs {t}) is not promotable"
-                        ) from exc
-                    # transport must be LOSSLESS for every source type,
-                    # or a legal value crashes the in-flight cast mid-
-                    # replay (e.g. int64 beyond 2^53 -> float64): reject
-                    # such pairs at construction, not at runtime
-                    for src in (fields[n], t):
-                        if not _lossless_promotion(src, promoted):
-                            raise ValueError(
-                                f"column {n!r} type conflict across "
-                                f"tables ({fields[n]} vs {t}): promoted "
-                                f"transport type {promoted} cannot hold "
-                                f"every {src} value losslessly")
-                    t = promoted
-                fields[n] = t
-        for n, t in [
+        self.tables = sorted(schemas)
+        self.table_index = {t: i for i, t in enumerate(self.tables)}
+        internal = [
             ("__seq", pa.int64()),
             ("__src_ts", pa.int64()),
             *[(f"__sk{i}", pa.int64()) for i in range(self.n_sk)],
-            *([("__prev_tokens", TOKENS)]
-              if self.track_previous else []),
+            *([("__prev_tokens", TOKENS)] if self.track_previous else []),
             ("__deleted", pa.bool_()),
             ("__op", pa.string()),
             ("__n_ins", pa.int64()),
@@ -511,48 +445,33 @@ class TransformStage:
             ("__n_del", pa.int64()),
             ("__n_snap", pa.int64()),
             ("__shard", pa.int64()),
-            ("__table", pa.string()),
-        ]:
-            fields[n] = t
-        self.out_schema = pa.schema(list(fields.items()))
+        ]
+        self.out_schemas = {
+            t: pa.schema([*effective_schemas[t].arrow_schema(),
+                          *[pa.field(n, ty) for n, ty in internal]])
+            for t in self.tables
+        }
 
-    def _conform(self, tbl: pa.Table | None) -> pa.Table:
+    def _conform(self, t: str, tbl: pa.Table | None) -> pa.Table:
+        schema = self.out_schemas[t]
         if tbl is None:
-            return self.out_schema.empty_table()
+            return schema.empty_table()
         cols = []
-        for f in self.out_schema:
+        for f in schema:
             if f.name in tbl.column_names:
                 cols.append(tbl[f.name].cast(f.type))
             else:
                 cols.append(pa.nulls(tbl.num_rows, f.type))
-        return pa.Table.from_arrays(cols, schema=self.out_schema)
+        return pa.Table.from_arrays(cols, schema=schema)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return self.out_schema.empty_table()
-        # keep DML only (DDL handled as driver-side barriers)
-        mask = pc.is_in(batch["op"], value_set=pa.array(DML_OPS))
-        # unknown-table filter (QueueingEventEmitter.java:111,124)
-        if self.table_set:
-            mask = pc.and_(
-                mask, pc.is_in(batch["table"], value_set=pa.array(sorted(self.table_set)))
-            )
-        batch = batch.filter(mask)
-        if batch.num_rows == 0:
-            return self.out_schema.empty_table()
-        pieces = []
-        # per-table processing (schemas/blacklists/directives differ per table)
-        tables = pc.unique(batch["table"]).to_pylist()
-        for t in tables:
-            if t not in self.schemas:
-                continue
-            sub = batch if len(tables) == 1 else batch.filter(pc.equal(batch["table"], t))
-            sub = self._one_table(t, sub)
-            if sub is not None and sub.num_rows:
-                pieces.append(self._conform(sub))
-        if not pieces:
-            return self.out_schema.empty_table()
-        return pa.concat_tables(pieces) if len(pieces) > 1 else pieces[0]
+        """A non-empty batch of one table's events → that table's DML
+        rows under ``out_schemas[table]`` (DDL is handled as driver-side
+        barriers)."""
+        t = batch["table"][0].as_py()
+        batch = batch.filter(pc.is_in(batch["op"], value_set=pa.array(DML_OPS)))
+        return self._conform(t, self._one_table(t, batch)
+                             if batch.num_rows else None)
 
     def _one_table(self, t: str, sub: pa.Table) -> pa.Table | None:
         ts = self.schemas[t]
@@ -659,9 +578,7 @@ class TransformStage:
             (part + np.uint64(tidx * self.num_partitions)).astype(np.int64),
             type=pa.int64(),
         )
-        out = out.append_column("__shard", shard)
-        out = out.append_column("__table", pa.array([t] * len(out), pa.string()))
-        return out
+        return out.append_column("__shard", shard)
 
 
 def sort_key_components(col, k: int) -> list[np.ndarray]:

@@ -493,53 +493,6 @@ def test_multi_table_interleaved_ddl(ray_session, tmp_path):
     assert "origin" in h.column_names and h.num_rows >= len(ids)
 
 
-def test_union_schema_type_promotion_units():
-    """Co-replayed tables sharing a column NAME with different types:
-    payload columns transport under the promoted type (each table's
-    lake files still get its exact type back at the merge — pinned e2e
-    by test_multi_table_interleaved_ddl); incompatible payload pairs
-    and non-integer KEY conflicts keep the fail-fast (key routing
-    hashes values, and only integer widening is value-preserving)."""
-    from deltaray.config import ReplayConfig
-    from deltaray.schemas import TableSchema
-    from deltaray.transforms import TransformStage
-
-    def stage(fields_b, key_b=("doc_id",)):
-        a = TableSchema("a", ["doc_id"],
-                        [("doc_id", "string"), ("n_tok", "int32")])
-        b = TableSchema("b", list(key_b), fields_b)
-        cfg = ReplayConfig(event_log="/tmp/x", lake="/tmp/y")
-        return TransformStage(cfg, {"a": a, "b": b},
-                              {"a": a, "b": b})
-
-    st = stage([("doc_id", "string"), ("n_tok", "int64")])
-    assert st.out_schema.field("n_tok").type == pa.int64()
-
-    st = stage([("doc_id", "string"), ("n_tok", "float64")])
-    assert st.out_schema.field("n_tok").type == pa.float64()
-
-    with pytest.raises(ValueError, match="not promotable|type conflict"):
-        stage([("doc_id", "string"), ("n_tok", "string")])
-
-    # int64 + float has NO lossless transport type (float64 carries 53
-    # mantissa bits): rejected at construction, not mid-replay
-    a64 = TableSchema("a", ["doc_id"],
-                      [("doc_id", "string"), ("n_tok", "int64")])
-    bf = TableSchema("b", ["doc_id"],
-                     [("doc_id", "string"), ("n_tok", "float64")])
-    cfg = ReplayConfig(event_log="/tmp/x", lake="/tmp/y")
-    with pytest.raises(ValueError, match="losslessly"):
-        TransformStage(cfg, {"a": a64, "b": bf}, {"a": a64, "b": bf})
-
-    # integer KEY widening is allowed; float key conflict is not
-    st = stage([("doc_id", "string"), ("n_tok", "int64")],
-               key_b=("doc_id", "n_tok"))
-    assert st.out_schema.field("n_tok").type == pa.int64()
-    with pytest.raises(ValueError, match="only integer widening"):
-        stage([("doc_id", "string"), ("n_tok", "float32")],
-              key_b=("doc_id", "n_tok"))
-
-
 def test_composite_key_lifecycle_across_truncate(ray_session, tmp_path):
     """The full CDC lifecycle on a COMPOSITE-key table crossing a
     TRUNCATE (every earlier marker probe used a single-column key):

@@ -237,98 +237,132 @@ def _append(log: str, ev: pa.Table, n: int) -> None:
         log, f"events-{n:05d}-{lo:012d}-{hi:012d}.parquet"))
 
 
-def test_multitable_promotion_with_ddl_interleave(ray_session, tmp_path):
-    """Multi-table DDL interleaving under cross-table type promotion:
-    tables `a` (v:int32) and `b` (v:int64) co-replay — the shared
-    column transports at the promoted width — then a mid-stream ALTER
-    widens a.v to int64 and both tables keep ingesting.  Final state of
-    BOTH tables must equal the single-process oracle, with b carrying
-    beyond-int32 values throughout and a carrying them only after its
-    ALTER."""
+_BIG = 5_000_000_000  # beyond int32
+
+
+def _value(code: str, i: int, base: int):
+    """A typed test value for key/payload column code ``code``."""
+    return {"int32": i * 10, "int64": base + i, "float64": base + i + 0.5,
+            "string": f"s{base + i}"}[code]
+
+
+@pytest.mark.parametrize("a_k,a_v,b_k,b_v,alter_to", [
+    ("int64", "int32", "int64", "int64", "int64"),
+    ("int64", "int32", "int64", "string", "int64"),
+    ("int64", "int64", "int64", "float64", "float64"),
+    ("int64", "int32", "string", "int64", "int64"),
+], ids=["v-int32-int64", "v-int32-string", "v-int64-float64",
+        "k-int64-string"])
+def test_multitable_promotion_with_ddl_interleave(ray_session, tmp_path, a_k,
+                                                  a_v, b_k, b_v, alter_to):
+    """Multi-table DDL interleaving across co-replayed tables whose
+    shared column names carry DIFFERENT types (a payload column, or the
+    key itself): each table's rows transport under that table's own
+    schema, so no pair is a conflict — then a mid-stream ALTER changes
+    a.v's type and both tables keep ingesting.  Each table's DML lives
+    in its own segment files (one physical type per column per file),
+    alternating so every chunk carries both tables.  Final state of
+    BOTH tables must equal the single-process oracle, and every lake
+    file must carry only its own table's columns at its own types."""
+    import glob
     import json as _json
 
     from deltaray import ReplayConfig, replay, replay_oracle, tables_equal
     from deltaray.pipeline import read_table
-    from deltaray.schemas import TableSchema, ddl_payload
+    from deltaray.schemas import TableSchema, code_to_type, ddl_payload
 
-    sch_a = TableSchema("a", "k", [("k", "int64"), ("v", "int32"),
-                                   ("s", "string")])
-    sch_b = TableSchema("b", "k", [("k", "int64"), ("v", "int64")])
-    # transport schema: the union with v at the PROMOTED width
-    log_schema = pa.schema([
-        ("seq", pa.int64()), ("op", pa.string()), ("table", pa.string()),
-        ("k", pa.int64()), ("v", pa.int64()), ("s", pa.string()),
-        ("ingest_ts", pa.timestamp("us")), ("source_ts", pa.timestamp("us")),
-        ("sort_keys", pa.list_(pa.int64())), ("is_snapshot", pa.bool_()),
-        ("tx_id", pa.string()), ("ddl_payload", pa.string()),
-    ])
-    BIG = 5_000_000_000  # beyond int32
+    sch_a = TableSchema("a", "k", [("k", a_k), ("v", a_v), ("s", "string")])
+    sch_b = TableSchema("b", "k", [("k", b_k), ("v", b_v)])
 
-    rows: list[dict] = []
-
-    def ev(op, table, seq, **kw):
-        r = {"seq": seq, "op": op, "table": table,
-             "ingest_ts": 1704067200_000000 + seq * 1000,
-             "source_ts": 1704067200_000000 + seq * 1000,
-             "is_snapshot": False, **kw}
-        rows.append(r)
-
-    ev("CREATE_TABLE", "a", 1,
-       ddl_payload=ddl_payload("CREATE_TABLE", schema=sch_a),
-       is_snapshot=True)
-    ev("CREATE_TABLE", "b", 2,
-       ddl_payload=ddl_payload("CREATE_TABLE", schema=sch_b),
-       is_snapshot=True)
-    seq = 3
-    for i in range(12):  # interleaved DML, b uses beyond-int32 values
-        ev("INSERT", "a", seq, k=i, v=i * 10, s=f"s{i}")
-        seq += 1
-        ev("INSERT", "b", seq, k=i, v=BIG + i)
-        seq += 1
-    alter_seq = seq
-    ev("ALTER_TABLE", "a", seq,
-       ddl_payload=ddl_payload("ALTER_TABLE", alter=("v", "int64")))
-    seq += 1
-    for i in range(12):  # post-ALTER: a can carry wide values too
-        ev("UPDATE", "a", seq, k=i, v=BIG * 2 + i, s=f"w{i}")
-        seq += 1
-        ev("DELETE" if i % 3 == 0 else "UPDATE", "b", seq, k=i,
-           v=None if i % 3 == 0 else BIG + 100 + i)
-        seq += 1
+    def log_schema(k, v):
+        return pa.schema([
+            ("seq", pa.int64()), ("op", pa.string()), ("table", pa.string()),
+            ("k", code_to_type(k)), ("v", code_to_type(v)),
+            ("s", pa.string()), ("ingest_ts", pa.timestamp("us")),
+            ("source_ts", pa.timestamp("us")),
+            ("sort_keys", pa.list_(pa.int64())), ("is_snapshot", pa.bool_()),
+            ("tx_id", pa.string()), ("ddl_payload", pa.string()),
+        ])
 
     log = str(tmp_path / "events")
     os.makedirs(log)
-    # DDL barriers: CREATEs in one segment, ALTER in its own, DML between
-    def seg(sub, segid, has_ddl):
-        cols = {f.name: [r.get(f.name) for r in sub] for f in log_schema}
-        t = pa.table(cols, schema=log_schema)
-        lo, hi = sub[0]["seq"], sub[-1]["seq"]
-        pq.write_table(t, os.path.join(
-            log, f"events-{segid:05d}-{lo:012d}-{hi:012d}.parquet"))
-        return {"path": os.path.join(
-            log, f"events-{segid:05d}-{lo:012d}-{hi:012d}.parquet"),
-            "seq_lo": int(lo), "seq_hi": int(hi), "n_rows": len(sub),
-            "columns": log_schema.names, "has_ddl": has_ddl}
+    segments: list[dict] = []
+    seq = 0
 
-    pre = [r for r in rows if 2 < r["seq"] < alter_seq]
-    post = [r for r in rows if r["seq"] > alter_seq]
-    segments = [seg(rows[:2], 0, True), seg(pre, 1, False),
-                seg([rows[2 + len(pre)]], 2, True), seg(post, 3, False)]
+    def seg(rows, schema, has_ddl):
+        """Write ``rows`` (seq assigned here) as the next segment."""
+        nonlocal seq
+        for r in rows:
+            seq += 1
+            r.update(seq=seq, ingest_ts=1704067200_000000 + seq * 1000,
+                     source_ts=1704067200_000000 + seq * 1000)
+            r.setdefault("is_snapshot", False)
+        lo, hi = rows[0]["seq"], rows[-1]["seq"]
+        path = os.path.join(
+            log, f"events-{len(segments):05d}-{lo:012d}-{hi:012d}.parquet")
+        pq.write_table(pa.table({f.name: [r.get(f.name) for r in rows]
+                                 for f in schema}, schema=schema), path)
+        segments.append({"path": path, "seq_lo": lo, "seq_hi": hi,
+                         "n_rows": len(rows), "columns": schema.names,
+                         "has_ddl": has_ddl})
+
+    def dml(table, op, i, k, **kw):
+        return {"op": op, "table": table, "k": _value(k, i, 0), **kw}
+
+    seg([{"op": "CREATE_TABLE", "table": "a", "is_snapshot": True,
+          "ddl_payload": ddl_payload("CREATE_TABLE", schema=sch_a)},
+         {"op": "CREATE_TABLE", "table": "b", "is_snapshot": True,
+          "ddl_payload": ddl_payload("CREATE_TABLE", schema=sch_b)}],
+        log_schema(a_k, a_v), True)
+    # pre-ALTER: a's and b's DML alternate in 6-row segments; b carries
+    # values a.v's type cannot hold
+    for half in (range(0, 6), range(6, 12)):
+        seg([dml("a", "INSERT", i, a_k, v=_value(a_v, i, _BIG), s=f"s{i}")
+             for i in half], log_schema(a_k, a_v), False)
+        seg([dml("b", "INSERT", i, b_k, v=_value(b_v, i, _BIG))
+             for i in half], log_schema(b_k, b_v), False)
+    seg([{"op": "ALTER_TABLE", "table": "a",
+          "ddl_payload": ddl_payload("ALTER_TABLE", alter=("v", alter_to))}],
+        log_schema(a_k, a_v), True)
+    # post-ALTER: a can carry wide values too; a third of b's keys go
+    for half in (range(0, 6), range(6, 12)):
+        seg([dml("a", "UPDATE", i, a_k, v=_value(alter_to, i, 2 * _BIG),
+                 s=f"w{i}") for i in half], log_schema(a_k, alter_to), False)
+        seg([dml("b", "DELETE", i, b_k) if i % 3 == 0 else
+             dml("b", "UPDATE", i, b_k, v=_value(b_v, i, _BIG + 100))
+             for i in half], log_schema(b_k, b_v), False)
     with open(os.path.join(log, "manifest.json"), "w") as f:
-        _json.dump({"max_seq": int(rows[-1]["seq"]),
-                    "segments": segments, "tables": ["a", "b"]}, f)
+        _json.dump({"max_seq": seq, "segments": segments,
+                    "tables": ["a", "b"]}, f)
 
     lake = str(tmp_path / "lake")
     cfg = ReplayConfig(event_log=log, lake=lake, num_partitions=4,
-                       chunk_max_events=7)
+                       chunk_max_events=12)
     replay(cfg)
     oracle = replay_oracle(cfg)
     for t in ("a", "b"):
         ok, msg = tables_equal(read_table(lake, t), oracle[t], key="k")
         assert ok, f"table {t}: {msg}"
     a = read_table(lake, "a")
-    assert a.schema.field("v").type == pa.int64()
-    assert max(a["v"].to_pylist()) >= BIG * 2
+    assert a.schema.field("v").type == code_to_type(alter_to)
+    assert a.schema.field("k").type == code_to_type(a_k)
+    assert a["v"].to_pylist() == [
+        _value(alter_to, i, 2 * _BIG) for i in sorted(a["k"].to_pylist())]
     b = read_table(lake, "b")
-    assert all(v >= BIG for v in b["v"].to_pylist())
+    assert b.schema.field("v").type == code_to_type(b_v)
+    assert b.schema.field("k").type == code_to_type(b_k)
     assert b.num_rows == 8  # 4 of 12 keys deleted (i % 3 == 0)
+    # every lake file: only its own table's payload columns, each at a
+    # type that table declared (a's files before the ALTER keep a_v)
+    own = {"a": {"k": {a_k}, "v": {a_v, alter_to}, "s": {"string"}},
+           "b": {"k": {b_k}, "v": {b_v}}}
+    for t, cols in own.items():
+        files = glob.glob(f"{lake}/gen=*/{t}/part=*/data-*.parquet")
+        assert files, t
+        for path in files:
+            sch = pq.read_schema(path)
+            got = {n: sch.field(n).type for n in sch.names
+                   if not n.startswith("__")}
+            assert set(got) == set(cols), (path, got)
+            for n, ty in got.items():
+                assert ty in {code_to_type(c) for c in cols[n]}, (path, n, ty)

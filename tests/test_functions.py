@@ -224,11 +224,13 @@ def test_hash_partitioned_key_colocation():
         return pa.table({"k": block["k"].take(pa.array(first)),
                          "n": pa.array(counts, pa.int64())})
 
-    out = hash_partitioned(ray.data.from_arrow(tbl), ["k"], per_key_counts,
-                           num_partitions=16).to_pandas()
-    # one output row per key (no key split across partitions), full counts
-    assert len(out) == 997
-    assert out["n"].sum() == n
+    # one output row per key (no key split across partitions), full
+    # counts — from Arrow and from pandas upstream blocks
+    for ds in (ray.data.from_arrow(tbl), ray.data.from_pandas(tbl.to_pandas())):
+        out = hash_partitioned(ds, ["k"], per_key_counts,
+                               num_partitions=16).to_pandas()
+        assert len(out) == 997
+        assert out["n"].sum() == n
 
     # empty partitions: every output block keeps fn's typed schema, for
     # upstream zero-row blocks, more partitions than keys, and an
@@ -250,6 +252,47 @@ def test_hash_partitioned_key_colocation():
         assert sum(b.num_rows for b in got) == keys
         assert sum(int(pc.sum(b["n"]).as_py() or 0)
                    for b in got) == sum(b.num_rows for b in blocks)
+
+
+def test_hash_partitioned_chained_logs_no_schema_warning():
+    """A hash_partitioned output with empty partitions (16 partitions
+    over 3 keys) feeding another hash_partitioned: no map stage may see
+    Ray's zero-row, zero-column blocks, so Ray Data logs no "Operator
+    produced a RefBundle with a different schema" warning.  The
+    ``ray.data`` logger does not propagate to the root logger, so the
+    handler goes on it directly."""
+    import logging
+
+    import ray.data
+
+    from deltaray.functions.partition import hash_partitioned
+
+    class Grab(logging.Handler):
+        def __init__(self):
+            super().__init__()
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    def ident(block: pa.Table) -> pa.Table:
+        return block
+
+    grab = Grab()
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(grab)
+    try:
+        ds = ray.data.from_arrow(pa.table({"k": ["a", "b", "c"],
+                                           "v": [1, 2, 3]}))
+        out = hash_partitioned(
+            hash_partitioned(ds, ["k"], ident, num_partitions=16),
+            ["k"], ident, num_partitions=4)
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    finally:
+        logger.removeHandler(grab)
+    assert sorted(got["k"].to_pylist()) == ["a", "b", "c"]
+    warned = [m for m in grab.messages if "different schema" in m]
+    assert not warned, warned
 
 
 def test_group_codes_composite_key():

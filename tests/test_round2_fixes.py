@@ -607,10 +607,11 @@ def test_read_table_ds_column_pruning(tmp_log, tmp_lake):
 
 
 def test_multi_table_rename_no_column_leak(tmp_log, tmp_lake):
-    """Regression (hypothesis seed 938): in a multi-table log, the shuffle
-    union schema must NOT leak another table's columns into a table's lake
-    files — after docs renames source→origin while logs keeps source, the
-    stray column collided with the rename chain at the next merge."""
+    """Regression (hypothesis seed 938): in a multi-table log, another
+    table's columns must NOT leak into a table's lake files — after docs
+    renames source→origin while logs keeps source, a stray column from
+    the (since removed) cross-table union transport schema collided with
+    the rename chain at the next merge."""
     import pyarrow.parquet as pq
     import glob
 

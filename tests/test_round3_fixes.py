@@ -390,23 +390,24 @@ def test_shard_order_lpt(tmp_log, tmp_lake):
     from deltaray.gen import write_event_log
     from deltaray.pipeline import ReplaySession
 
-    from deltaray.schemas import default_table_schema
-
     write_event_log(tmp_log, n_docs=50, n_events=200, seed=3)
     sess = ReplaySession(ReplayConfig(event_log=tmp_log, lake=tmp_lake,
                                       num_partitions=4))
-    # schemas are discovered from the log's CREATE_TABLE during replay;
-    # pin them directly for the ordering unit test
-    sess.schemas = {"docs": default_table_schema()}
+    # the chunk plan's shard→table map (TransformStage.tables)
+    tables = ["docs"]
     # no weights yet → identity order
-    assert sess._shard_order(4) == [0, 1, 2, 3]
+    assert sess._shard_order(tables) == [0, 1, 2, 3]
     sess._shard_weights = {("docs", 2): 100, ("docs", 0): 7}
-    order = sess._shard_order(4)
+    order = sess._shard_order(tables)
     assert order[0] == 2 and order[1] == 0
     assert sorted(order) == [0, 1, 2, 3]
     # weights for unknown tables are ignored, not crashed on
     sess._shard_weights[("ghost", 1)] = 999
-    assert sorted(sess._shard_order(4)) == [0, 1, 2, 3]
+    assert sorted(sess._shard_order(tables)) == [0, 1, 2, 3]
+    # a second table's shards follow the first's: (logs, 1) is shard 5
+    sess._shard_weights[("logs", 1)] = 500
+    order = sess._shard_order(["docs", "logs"])
+    assert order[:3] == [5, 2, 0] and sorted(order) == list(range(8))
 
 
 def test_stable_hash_spreads_small_odd_moduli():
