@@ -37,17 +37,23 @@ Lakes written by older engines may also hold a per-table directory of
 separate drop markers; nothing reads it (every DROP there also wrote
 its TRUNCATE marker).
 
-Exactly-once contract (EventConsumer.java:39-76 analog): the data file is
-written (temp + atomic rename, deterministic name) BEFORE its commit
-record; a commit record is write-once; any retried merge that finds its
-commit record is a no-op.  The commit unit is (partition, seq_range) —
-the Ray translation of the (offset, sequenceNumber) checkpoint
+Exactly-once contract (EventConsumer.java:39-76 analog): at-least-once
+delivery plus an idempotent apply.  The data file is written (temp +
+atomic rename, deterministic name) BEFORE its commit record, and a
+commit record is write-once.  The commit unit is (partition, seq_range)
+— the Ray translation of the (offset, sequenceNumber) checkpoint
 (OffsetAndSequence.java:26-41, DeltaTargetContext.commitOffset:44-58).
+Replay's one argument: a merge whose partition's committed head already
+covers its chunk (head seq_hi >= chunk seq_hi; its own commit is one
+such case) is a no-op.  Every failure path rests on that alone: a
+failed window is settled — each in-flight merge either fails (it chains
+on a failed one) or finishes and commits — and its chunks are then
+re-applied in order, the covered merges skipping.  Nothing is
+cancelled, so no task outlives the driver call.
 Every writer — replay's merge, bootstrap, reshard and OPTIMIZE — commits
 through ``merge.commit_partition``, which rewrites the partition's
 lineage record right after each commit (fsck checks that it names the
-latest one); a retried merge that finds its commit re-points a lineage
-record left behind.
+latest one); a skipped merge re-points a lineage record left behind.
 
 ``generation`` isolates recreated pipelines (DeltaWorker.java:140-150).
 """

@@ -298,7 +298,8 @@ def _fast_huffman_lut(lut: dict) -> "array.array":
     tree walk.  array.array keeps each cached table at 256 KB (a list
     of boxed ints is ~2.4 MB — real corpora with per-image optimized
     tables would pin ~150 MB per long-lived decode actor).  Cached per
-    table; the Annex K tables recur across a whole corpus."""
+    table, the 64 newest kept (FIFO); the Annex K tables recur across a
+    whole corpus."""
     import array
 
     key = tuple(sorted(lut.items()))
@@ -310,8 +311,9 @@ def _fast_huffman_lut(lut: dict) -> "array.array":
         start = code << (16 - ln)
         arr[start:start + (1 << (16 - ln))] = (sym << 8) | ln
     out = array.array("i", arr)
-    if len(_FAST_LUT_CACHE) < 64:
-        _FAST_LUT_CACHE[key] = out
+    if len(_FAST_LUT_CACHE) >= 64:  # FIFO: evict the oldest table
+        _FAST_LUT_CACHE.pop(next(iter(_FAST_LUT_CACHE)))
+    _FAST_LUT_CACHE[key] = out
     return out
 
 

@@ -237,15 +237,6 @@ class LangId:
         return batch.append_column("lang_guess", pa.array(guess, pa.string()))
 
 
-def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """64-bit FNV-1a content fingerprint per document (stable across
-    machines; used as the exact-dedup key)."""
-    from deltaray.transforms import stable_hash_strings
-
-    h = stable_hash_strings(batch[text_col])
-    return batch.append_column("fingerprint", pa.array(h.astype(np.int64)))
-
-
 def pack_sequences(ds, *, max_len: int, id_col: str = "doc_id",
                    tokens_col: str = "tokens", num_partitions: int = 64):
     """Pack variable-length token documents into training sequences of at

@@ -12,9 +12,10 @@ idempotent apply ⇒ exactly-once effect.  Here idempotence is structural:
   which is commutative/associative — re-applying any already-applied
   change batch is a no-op;
 - the commit record for (partition, seq_lo, seq_hi) is write-once; a
-  retried merge task that finds it skips entirely
-  (DeltaTargetContext.commitOffset:44-58 analog, seq never re-incremented
-  on retry — DeltaPipelineStateStoreBaseTest.java:384-386).
+  merge whose partition's committed head covers its chunk skips
+  entirely (DeltaTargetContext.commitOffset:44-58 analog, seq never
+  re-incremented on retry — DeltaPipelineStateStoreBaseTest.java:384-386;
+  the one argument is stated in :mod:`deltaray.commit`).
 
 Schema evolution: each data file embeds its effective TableSchema in the
 Parquet key-value metadata; ``evolve_to`` unifies an old file to the
@@ -312,12 +313,12 @@ def write_partition_lineage(lake: LakeState, table: str, part: int,
     lake.write_lineage(table, part, lineage)
 
 
-def _catch_up_lineage(lake: LakeState, table: str, part: int) -> None:
+def _catch_up_lineage(lake: LakeState, table: str, part: int,
+                      latest: dict) -> None:
     """A merge that died between its commit record and its lineage
-    write is retried into a skip path: re-point the lineage at the
-    partition's latest commit when it lags, or it stays stale until
+    write is retried into the skip path: re-point the lineage at the
+    partition's ``latest`` commit when it lags, or it stays stale until
     some later chunk touches the partition."""
-    latest = lake.latest_commit(table, part)
     lin = lake.read_lineage(table, part)
     if lin is None or int(lin.get("last_seq", -1)) < latest["seq_hi"]:
         write_partition_lineage(lake, table, part, latest)
@@ -352,34 +353,26 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
         part = shard % num_partitions
         schema = effective[tname]
         lake = LakeState(lake_root, generation)
-        import os
-
-        cpath = lake.commit_path(tname, part, chunk_lo, chunk_hi)
-        # already-applied check spans manifests too: a retried chunk
-        # whose commit record was rolled up must still be a no-op
-        rec = lake.commit_record(tname, part, os.path.basename(cpath))
-        if rec is not None:
-            _catch_up_lineage(lake, tname, part)
-            return _lineage_row(rec, skipped=True)
-        # one listing serves the coverage check, the compact decision
-        # and the state read below (state-ordered, so the last commit
-        # carries the max seq_hi, also when a TRUNCATE hides it)
+        # one listing serves the skip check, the compact decision and
+        # the state read below (state-ordered, so the last commit
+        # carries the max seq_hi, also when a TRUNCATE hides it; it
+        # spans manifests, so a rolled-up commit still counts)
         commits = lake._list_commits_raw(tname, part)
+        if commits and chunk_hi <= commits[-1]["seq_hi"]:
+            # covered: this chunk already committed (a retry or resume)
+            # or a re-segmented catch-up chunk lies inside committed
+            # state.  Re-applying would be a correct LWW no-op, but its
+            # data file would carry stale-range metadata (a delta
+            # stamped at an old seq_hi holding CURRENT winners),
+            # poisoning as-of reads at interior anchors and the
+            # retention filename gate — so skip without writing.
+            _catch_up_lineage(lake, tname, part, commits[-1])
+            own = next((c for c in reversed(commits)
+                        if (c["seq_lo"], c["seq_hi"]) == (chunk_lo, chunk_hi)),
+                       {"table": tname, "part": part, "seq_lo": chunk_lo,
+                        "seq_hi": chunk_hi, "rows": 0})
+            return _lineage_row(own, skipped=True)
         live = live_window(commits, lake.truncate_seqs(tname))
-        prev_hi = int(commits[-1]["seq_hi"]) if commits else 0
-        if chunk_hi <= prev_hi:
-            # re-segmented catch-up: this chunk's events are fully
-            # covered by already-committed state.  Re-applying them
-            # would be a correct LWW no-op, but the commit's data file
-            # would carry stale-range metadata (a delta stamped at an
-            # old seq_hi holding CURRENT winners), poisoning as-of
-            # reads at interior anchors and the retention filename
-            # gate — so skip without writing any commit.
-            _catch_up_lineage(lake, tname, part)
-            return _lineage_row({
-                "table": tname, "part": part, "seq_lo": chunk_lo,
-                "seq_hi": chunk_hi, "rows": 0, "counts": {},
-            }, skipped=True)
 
         n_ins = pc.sum(group["__n_ins"]).as_py() or 0
         n_upd = pc.sum(group["__n_upd"]).as_py() or 0
@@ -388,7 +381,7 @@ def make_merge_fn(lake_root: str, generation: int, chunk_lo: int, chunk_hi: int,
         bytes_in = group.nbytes
 
         changes = group.drop_columns(
-            ["__shard", "__op", "__n_ins", "__n_upd", "__n_del", "__n_snap"]
+            ["__shard", "__n_ins", "__n_upd", "__n_del", "__n_snap"]
         )
         # phase-2 LWW over the full shard (phase 1 ran per batch upstream)
         changes = lww_reduce(changes, schema.keys)

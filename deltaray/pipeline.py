@@ -19,13 +19,14 @@ registry / truncate markers), the Arrow analog of in-stream applyDDL
 (DeltaWorker.java:481-493).
 
 Resume (DeltaWorker.startFromLastCommit:566-592 analog): a chunk-done
-marker skips whole chunks; inside a partially-applied chunk the per
-(partition, seq_range) commit records make re-merges no-ops.  Retry
+marker skips whole chunks; inside a partially-applied chunk a merge
+whose partition's committed head covers it is a no-op.  Retry
 (Failsafe policy, DeltaWorker.java:303-403 + RetryConfig.java:25-40):
 one policy for every window — a failure is retried within
-``retry.max_duration_seconds`` (0 = no retry) by re-applying the pending
-chunks in order; ``DeltaFailureError`` aborts immediately
-(DeltaFailureException analog, EventConsumer.java:49-57).
+``retry.max_duration_seconds`` (0 = no retry) by settling the window and
+re-applying the pending chunks in order; ``DeltaFailureError`` aborts
+immediately (DeltaFailureException analog, EventConsumer.java:49-57).
+Both rest on the one exactly-once argument in :mod:`deltaray.commit`.
 """
 
 from __future__ import annotations
@@ -45,12 +46,10 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from deltaray.commit import (LAKE_FORMAT_VERSION, LakeState, atomic_write_json,
-                             check_lake_format, live_window,
-                             read_data_file, record_seq_hi,
+                             check_lake_format, live_window, record_seq_hi,
                              stats_disjoint_any)
 from deltaray.config import ReplayConfig
-from deltaray.merge import (commit_partition, evolve_to, make_merge_fn,
-                            strip_internal)
+from deltaray.merge import commit_partition, make_merge_fn, strip_internal
 from deltaray.schemas import (DDL_OPS, TOKENS, TableSchema, apply_ddl,
                               code_to_type)
 from deltaray.transforms import (HASH_VERSION, TransformStage,
@@ -100,8 +99,6 @@ def _split_block(block, n_shards: int):
     import numpy as np
     import pyarrow as pa
 
-    if hasattr(block, "to_arrow"):  # pandas block defence
-        block = pa.Table.from_pandas(block)
     shard = block["__shard"].to_numpy(zero_copy_only=False)
     order = np.argsort(shard, kind="stable")
     tbl = block.take(pa.array(order))
@@ -247,32 +244,13 @@ def _merge_shard(merge_fn, *tables):
     return merge_fn(_gather(tables))
 
 
-def _cancel_refs(refs: list, timeout_s: float = 30.0) -> None:
-    """Best-effort cancel of in-flight exchange tasks, then wait for the
-    refs to settle so no orphan merge races a restarted replay's re-run
-    of the same chunks (write-once commits make even that race benign —
-    deterministic content, atomic rename — but the window should not
-    outlive the driver call).  Only refs still pending are cancelled:
-    a recursive cancel of an already finished task is not needed and
-    is a path Ray has been seen to crash on."""
+def _settle(refs: list) -> None:
+    """Wait, without cancelling, until every ref has finished or failed
+    (the exactly-once argument in :mod:`deltaray.commit`)."""
     import ray
 
-    if not refs:
-        return
-    try:
-        _, pending = ray.wait(list(refs), num_returns=len(refs), timeout=0)
-    except Exception:
-        pending = list(refs)
-    for r in pending:
-        try:
-            ray.cancel(r, recursive=True)
-        except Exception:
-            pass
-    if pending:
-        try:
-            ray.wait(pending, num_returns=len(pending), timeout=timeout_s)
-        except Exception:
-            pass
+    if refs:
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
 
 
 def _merge_shard_after(merge_fn, _prev_lineage, *tables):
@@ -753,15 +731,15 @@ class ReplaySession:
                 on_chunk(idx, chunk, rows)
 
         def reapply_window() -> None:
-            """After a failure the policy retries: later merges chain on
-            the failed refs, so cancel the whole window, then re-apply
-            each pending chunk IN ORDER through the serial retry path
-            (merges are idempotent: committed (part, seq_range)s skip)."""
+            """After a failure the policy retries: settle the whole
+            window, then re-apply each pending chunk IN ORDER through
+            the serial retry path — covered merges skip (the
+            exactly-once argument in :mod:`deltaray.commit`)."""
             nonlocal prev_refs
             pend = list(inflight)
             inflight.clear()
             prev_refs = None
-            _cancel_refs([r for _, _, rs in pend for r in rs])
+            _settle([r for _, _, rs in pend for r in rs])
             for idx, chunk, _ in pend:
                 finish(idx, chunk, self._run_chunk_with_retry(chunk, t0))
 
@@ -815,10 +793,9 @@ class ReplaySession:
             drain(0)
         finally:
             # a mid-run exception (incl. on_chunk callbacks) must not
-            # leave orphan merges racing a restarted replay: cancel and
-            # wait for every in-flight task before surfacing it
-            if inflight:
-                _cancel_refs([r for _, _, rs in inflight for r in rs])
+            # leave orphan merges outliving the driver call: settle
+            # every in-flight task before surfacing it
+            _settle([r for _, _, rs in inflight for r in rs])
         metrics = collect_metrics(self.lake, list(self.schemas) + sorted(self.dropped))
         metrics["errors"] = self.errors
         metrics["wall_seconds"] = round(time.time() - t0, 3)
@@ -1496,12 +1473,12 @@ def read_history(lake_root: str, table: str, keys: list,
     ``valid_to_seq`` (the key's next version's seq, null while open)
     and ``is_current`` (the live state).  Routed like
     :func:`read_rows`: only the keys' hash partitions' live
-    merge-on-read files are read, never a table scan.  Each file takes
-    the same per-file step as a point lookup
-    (``LakeState.read_partition(schema, keep=...)``): evolve to the read
-    schema, then keep the keys' rows — in that order, because a
-    RENAME_COLUMN can rename a key column — with no LWW, so every stored
-    version survives.
+    merge-on-read files are read, never a table scan.  Each file is read
+    on its own through the point lookup's reader
+    (``LakeState.read_partition(schema, live=[c], keep=...)``): evolve
+    to the read schema, then keep the keys' rows — in that order,
+    because a RENAME_COLUMN can rename a key column — and a single file
+    is never LWW-reduced, so every stored version survives.
 
     Granularity and retention: the lake stores one version per key per
     COMMITTED CHUNK (chunk-level LWW — intra-chunk intermediates were
@@ -1539,12 +1516,11 @@ def read_history(lake_root: str, table: str, keys: list,
     keep_cols = [*out_cols, "__seq", "__deleted"]
     collected = []
     for p in parts:
-        pdir = lake.part_dir(table, p)
         for c in lake.live_commits(table, p):
-            t = keep(evolve_to(read_data_file(os.path.join(pdir, c["file"])),
-                               schema))
-            if t.num_rows:
-                collected.append(t.select(keep_cols))
+            t, _ = lake.read_partition(table, p, schema, live=[c], keep=keep)
+            if t.num_rows:  # drop the reader's schema stamp
+                collected.append(
+                    t.select(keep_cols).replace_schema_metadata())
     if not collected:
         return out_schema.empty_table()
     h = pa.concat_tables(collected, promote_options="default") \
@@ -1575,17 +1551,6 @@ def read_history(lake_root: str, table: str, keys: list,
                                 pa.int64(), from_pandas=True)) \
         .append_column("is_current", is_current)
     return out
-
-
-def current_data_files(lake_root: str, table: str, generation: int = 0) -> list[str]:
-    """RAW live data files (last base + deltas per partition).  NOTE:
-    with delta commits a key may appear in several of these files — use
-    ``read_table_ds`` (which LWW-reduces per partition) for row-correct
-    reads; this listing serves size accounting and vacuum-style tooling."""
-    lake = LakeState(lake_root, generation)
-    return [os.path.join(lake.part_dir(table, p), c["file"])
-            for p in lake.partitions(table)
-            for c in lake.live_commits(table, p)]
 
 
 _PRED_OPS = {"==": pc.equal, "<": pc.less, "<=": pc.less_equal,

@@ -66,14 +66,6 @@ _TYPE_CODES = {
     "list<float>": pa.list_(pa.float32()),
     "list<double>": pa.list_(pa.float64()),
 }
-_CODE_FOR_TYPE = {v: k for k, v in _TYPE_CODES.items()}
-
-
-def type_to_code(t: pa.DataType) -> str:
-    try:
-        return _CODE_FOR_TYPE[t]
-    except KeyError:
-        raise ValueError(f"unsupported payload type: {t}")
 
 
 def code_to_type(code: str) -> pa.DataType:

@@ -102,16 +102,6 @@ def apply_directives_to_schema(
     return out
 
 
-def apply_directives_to_batch(batch: pa.Table, directives: list[str]) -> pa.Table:
-    """Vectorized transformValue over the directive chain (F5/F7)."""
-    for d in directives:
-        name, args = parse_directive(d)
-        fn = _lookup(name).batch_fn
-        if fn is not None:
-            batch = fn(batch, args)
-    return batch
-
-
 # ---- built-in directives (SURVEY §2.8 set) --------------------------------
 def _rename_schema(schema: TableSchema, args: list[str]) -> TableSchema:
     old, new = args
@@ -439,7 +429,6 @@ class TransformStage:
             *[(f"__sk{i}", pa.int64()) for i in range(self.n_sk)],
             *([("__prev_tokens", TOKENS)] if self.track_previous else []),
             ("__deleted", pa.bool_()),
-            ("__op", pa.string()),
             ("__n_ins", pa.int64()),
             ("__n_upd", pa.int64()),
             ("__n_del", pa.int64()),

@@ -106,6 +106,20 @@ def test_jpeg_rejects_progressive_and_garbage():
 
 
 # ------------------------------------------------------------------ BMP
+def test_fast_huffman_lut_cache_evicts_oldest(monkeypatch):
+    """The decoded-LUT cache keeps the 64 newest tables (FIFO): a corpus
+    with more distinct optimized Huffman tables still hits on recent
+    ones instead of rebuilding every table past the 64th."""
+    from deltaray.functions import imagecodecs
+
+    monkeypatch.setattr(imagecodecs, "_FAST_LUT_CACHE", {})
+    luts = [{(8, code): 1} for code in range(65)]
+    built = [imagecodecs._fast_huffman_lut(lut) for lut in luts]
+    assert len(imagecodecs._FAST_LUT_CACHE) == 64
+    assert imagecodecs._fast_huffman_lut(luts[64]) is built[64]
+    assert imagecodecs._fast_huffman_lut(luts[0]) is not built[0]
+
+
 def test_bmp_roundtrip_exact():
     rng = np.random.default_rng(0)
     for w, h in [(21, 13), (16, 16), (3, 7)]:  # odd widths hit row padding

@@ -145,3 +145,55 @@ def test_merge_lists_partition_once_before_commit(tmp_log, tmp_lake,
     kinds = {r["kind"] for r in recs}
     assert kinds == {"base", "delta"}, recs
     assert all(r["lists"] == 1 for r in recs), recs
+
+
+def test_covered_merge_is_a_noop(tmp_log, tmp_lake):
+    """Exactly-once rests on one check: a merge is a no-op when its
+    partition's committed head covers its chunk.  The chunk's merge
+    closure, called a second time on the same group, skips with the
+    first commit's counts and writes no file; a re-segmented chunk
+    inside the committed range skips with zero counts."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from deltaray.pipeline import (Chunk, ReplaySession, _gather,
+                                   _read_transform_split)
+
+    write_event_log(tmp_log, n_docs=60, n_events=600, seed=5)
+    cfg = ReplayConfig(event_log=tmp_log, lake=tmp_lake, num_partitions=2)
+    session = ReplaySession(cfg)
+    dml = [c for c in session.chunks if c.kind == "dml"]
+    assert len(dml) == 1
+    for c in session.chunks:
+        if c.kind == "ddl":
+            session._apply_ddl_chunk(c)
+
+    def group_and_merge(chunk):
+        files, columns, stage, merge, n_shards = session._plan_chunk(chunk)
+        splits = [_read_transform_split(f, list(range(
+            pq.ParquetFile(f).metadata.num_row_groups)), columns,
+            chunk.seq_lo, chunk.seq_hi, stage, n_shards) for f in files]
+        group = _gather([s[0] for s in splits])  # shard 0 = part 0
+        assert group.num_rows
+        return group, merge
+
+    def data_files():
+        return sorted(os.listdir(session.lake.part_dir("docs", 0)))
+
+    group, merge = group_and_merge(dml[0])
+    first = merge(group).to_pylist()[0]
+    assert not first["skipped"] and first["applied_inserts"] > 0
+    files = data_files()
+    again = merge(group).to_pylist()[0]
+    assert again == dict(first, skipped=True)
+    assert data_files() == files
+
+    inner = Chunk("dml", dml[0].seq_lo, dml[0].seq_hi - 1)
+    group, merge = group_and_merge(inner)
+    row = merge(group).to_pylist()[0]
+    assert row["skipped"] and (row["seq_lo"], row["seq_hi"]) == (
+        inner.seq_lo, inner.seq_hi)
+    assert [row[k] for k in ("rows", "applied_inserts", "applied_updates",
+                             "applied_deletes", "bytes_in")] == [0] * 5
+    assert data_files() == files

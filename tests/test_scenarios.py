@@ -128,9 +128,9 @@ def _fail_one_merge(monkeypatch, tmp_log, tmp_lake, exc_type=RuntimeError,
 
 def test_pipelined_merge_failure_falls_back(tmp_log, tmp_lake, monkeypatch):
     """With chunk pipelining active, a merge-task failure mid-window
-    cancels the in-flight chain and re-applies the pending chunks through
-    the serial retry path — final state still equals the oracle, commits
-    apply exactly once, FAILING is cleared."""
+    settles the in-flight window and re-applies the pending chunks
+    through the serial retry path — final state still equals the
+    oracle, commits apply exactly once, FAILING is cleared."""
     cfg, session, flag = _fail_one_merge(
         monkeypatch, tmp_log, tmp_lake, pipeline_chunks=3,
         retry=RetryConfig(max_duration_seconds=60))
@@ -145,6 +145,45 @@ def test_pipelined_merge_failure_falls_back(tmp_log, tmp_lake, monkeypatch):
     assert m["dml_events"] == 2000 + 120
     rep = lineage_report(tmp_lake, "docs")
     assert "FAILING" not in rep["tables"]["docs"]["states"]
+
+
+def test_failure_paths_cancel_nothing(tmp_log, tmp_lake, tmp_path,
+                                      monkeypatch):
+    """Failure paths settle in-flight Ray tasks, never cancel them: a
+    merge failing mid-window, and an exception from ``on_chunk`` with
+    chunks in flight, both leave ``ray.cancel`` uncalled (the spy only
+    records, so a swallowed error cannot hide a call)."""
+    import ray
+
+    cancels = []
+    monkeypatch.setattr(ray, "cancel",
+                        lambda *a, **kw: cancels.append((a, kw)))
+    cfg, session, flag = _fail_one_merge(
+        monkeypatch, tmp_log, tmp_lake, pipeline_chunks=3,
+        retry=RetryConfig(max_duration_seconds=60))
+    assert session.run()["metrics"]["errors"] == 1
+    assert os.path.exists(flag), "injection never fired"
+
+    log2, lake2 = str(tmp_path / "events2"), str(tmp_path / "lake2")
+    write_event_log(log2, n_docs=200, n_events=3000, seed=21,
+                    segment_max_events=400)
+    cfg2 = ReplayConfig(event_log=log2, lake=lake2, num_partitions=4,
+                        chunk_max_events=500, pipeline_chunks=3)
+
+    class Kill(Exception):
+        pass
+
+    calls = []
+
+    def killer(idx, chunk, rows):  # test_resume_midway's kill
+        calls.append(idx)
+        if len(calls) == 3:
+            raise Kill()
+
+    with pytest.raises(Kill):
+        replay(cfg2, on_chunk=killer)
+    assert cancels == []
+    _check(cfg2)
 
 
 def test_delta_failure_aborts(tmp_log, tmp_lake):
